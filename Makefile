@@ -1,14 +1,15 @@
 # Verification entry points. `make verify` is the PR gate: formatting,
 # vet, the project analyzers (sketchlint), the full test suite, the
-# race detector over the concurrent code (Safe, Ingestor), and a
-# 1-iteration benchmark smoke so the bench harness cannot rot.
+# race detector over the concurrent code (Safe, Ingestor), a
+# 1-iteration benchmark smoke so the bench harness cannot rot, and a
+# vet + short test of the end-to-end benchmark module.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify fmt vet lint test race bench bench-matrix bench-baseline bench-smoke cluster-smoke window-smoke fuzz-smoke
+.PHONY: verify fmt vet lint test race bench bench-matrix bench-baseline bench-smoke cluster-smoke window-smoke e2e-smoke fuzz-smoke
 
-verify: fmt vet lint test race bench-smoke cluster-smoke window-smoke
+verify: fmt vet lint test race bench-smoke cluster-smoke window-smoke e2e-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -108,6 +109,14 @@ window-smoke:
 		$(GO) test -race -count=1 -run '^TestWindowDaemon' ./cmd/sketchtreed
 	$(GO) test -count=1 -run '^TestWindowEquivalenceRandom$$' -v . > window_equivalence.log
 	@echo "wrote window_status.json and window_equivalence.log"
+
+# The end-to-end benchmark (e2ebench/, `bash e2ebench/run.sh`) is its
+# own Go module, so the root vet and test never compile it, yet it
+# drives the library API (EnableWindow, AdvanceWindow, RefreshWindow,
+# Snapshot, Restore, Merge). Vet it and run its short tests so it keeps
+# building; full runs stay out of CI (see e2ebench/README.md).
+e2e-smoke:
+	cd e2ebench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Short coverage-guided runs of every fuzz target (FUZZTIME each).
 # Seed corpora live under testdata/fuzz/<FuzzName>/; a crasher found

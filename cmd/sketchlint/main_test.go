@@ -224,26 +224,28 @@ func TestAnnotateEmitsWorkflowCommands(t *testing.T) {
 // are the static equivalent of a failing regression test: delete the
 // guard, watch the analyzer catch it.
 
-// TestDeletedStopSelectIsALeak removes windowLoop's stop arm, turning
-// the ticker loop into an unstoppable goroutine.
+// TestDeletedStopSelectIsALeak removes the publisher ticker's stop
+// arm, turning the one clock-cadence loop every serving mode shares
+// into an unstoppable goroutine.
 func TestDeletedStopSelectIsALeak(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join(moduleRoot, "window.go"))
+	rel := "internal/publish/publish.go"
+	src, err := os.ReadFile(filepath.Join(moduleRoot, filepath.FromSlash(rel)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const guard = "case <-stop:\n\t\t\treturn\n\t\t"
 	if !bytes.Contains(src, []byte(guard)) {
-		t.Fatalf("window.go no longer has windowLoop's stop arm; update this test")
+		t.Fatalf("publish.go no longer has the ticker's stop arm; update this test")
 	}
 	mutated := bytes.Replace(src, []byte(guard), nil, 1)
-	m, err := analysis.Load(moduleRoot, map[string][]byte{"window.go": mutated})
+	m, err := analysis.Load(moduleRoot, map[string][]byte{rel: mutated})
 	if err != nil {
 		t.Fatal(err)
 	}
 	diags := analysis.Run(m, []*analysis.Analyzer{checks.GoroutineLeak})
 	found := false
 	for _, d := range diags {
-		if d.Analyzer == "goroutineleak" && strings.Contains(d.Message, "windowLoop loops forever") {
+		if d.Analyzer == "goroutineleak" && strings.Contains(d.Message, "tick loops forever") {
 			found = true
 		}
 	}

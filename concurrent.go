@@ -6,7 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sketchtree/internal/core"
 	"sketchtree/internal/obs"
+	"sketchtree/internal/publish"
 	"sketchtree/internal/window"
 )
 
@@ -14,37 +16,32 @@ import (
 // lock, queries the read lock. Queries are pure reads of the synopsis,
 // so any number may run concurrently between updates.
 //
-// EnableSnapshots switches the Count*/Estimate* reads to a lock-free
-// snapshot-isolated path — see SnapshotPolicy.
+// EnableSnapshots and EnableWindow switch the Count*/Estimate* reads
+// to a lock-free path over a published frozen engine — see
+// SnapshotPolicy and WindowPolicy.
 //
 // The zero Safe is not valid; construct with NewSafe.
 type Safe struct {
 	mu sync.RWMutex
 	st *SketchTree
 
-	// Snapshot serving (see snapshot.go). snap is the published frozen
-	// synopsis; snapEvery doubles as the enabled flag (0 = off) and the
-	// refresh interval; updatesSince counts updates since the last
-	// refresh; snapMu serializes Enable/Disable; snapStop/snapDone
-	// bracket the MaxAge refresher goroutine.
-	snap         atomic.Pointer[snapState]
-	snapEvery    atomic.Int64
-	updatesSince atomic.Int64
-	snapMu       sync.Mutex
-	snapStop     chan struct{}
-	snapDone     chan struct{}
+	// trees mirrors the live synopsis's tree count. Every landmark
+	// write path stores it under the write lock, so TreesProcessed
+	// never waits behind an update.
+	trees atomic.Int64
 
-	// Sliding-window serving (see window.go). win is non-nil while the
-	// window is enabled: updates route into its slice ring and reads
-	// into its published merged engine. winServing caches the SketchTree
-	// wrapper per published generation; winMu serializes
-	// Enable/Disable; winStop/winDone bracket the clock-cadence
-	// advancer goroutine.
-	win        atomic.Pointer[window.Windowed]
-	winServing atomic.Pointer[winServing]
-	winMu      sync.Mutex
-	winStop    chan struct{}
-	winDone    chan struct{}
+	// mode is the serving mode (see snapshot.go and window.go): nil on
+	// the locked landmark path. modeMu serializes Enable*/Disable*.
+	modeMu sync.Mutex
+	mode   atomic.Pointer[serving]
+}
+
+// serving is one enabled serving mode: the publisher whose state
+// answers the lock-free reads, and the sliding window that routes
+// updates while window serving is on (nil for snapshot serving).
+type serving struct {
+	pub *publish.Publisher[*core.Engine]
+	win *window.Windowed
 }
 
 // NewSafe creates a concurrency-safe SketchTree.
@@ -63,7 +60,9 @@ func RestoreSafe(data []byte) (*Safe, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Safe{st: st}, nil
+	s := &Safe{st: st}
+	s.trees.Store(st.TreesProcessed())
+	return s, nil
 }
 
 // AddTree folds one tree into the synopsis (into the current window
@@ -71,14 +70,10 @@ func RestoreSafe(data []byte) (*Safe, error) {
 func (s *Safe) AddTree(t *Tree) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if w := s.win.Load(); w != nil {
+	if w := s.windowed(); w != nil {
 		return w.Add(t)
 	}
-	if err := s.st.AddTree(t); err != nil {
-		return err
-	}
-	s.noteUpdateLocked()
-	return nil
+	return s.updatedLocked(s.st.AddTree(t))
 }
 
 // RemoveTree deletes one earlier occurrence of the tree (from the
@@ -87,14 +82,10 @@ func (s *Safe) AddTree(t *Tree) error {
 func (s *Safe) RemoveTree(t *Tree) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if w := s.win.Load(); w != nil {
+	if w := s.windowed(); w != nil {
 		return w.Remove(t)
 	}
-	if err := s.st.RemoveTree(t); err != nil {
-		return err
-	}
-	s.noteUpdateLocked()
-	return nil
+	return s.updatedLocked(s.st.RemoveTree(t))
 }
 
 // AddXML parses one XML document (outside the lock) and folds it into
@@ -138,7 +129,7 @@ func (s *Safe) AddXMLForestCount(r io.Reader) (int64, error) {
 // enabled, the live engine's otherwise. Both are atomic counter
 // blocks, never mutable sketch state, so no lock is needed.
 func (s *Safe) ingestMetrics() *obs.Metrics {
-	if w := s.win.Load(); w != nil {
+	if w := s.windowed(); w != nil {
 		return w.Metrics()
 	}
 	return s.st.e.Metrics()
@@ -150,7 +141,7 @@ func (s *Safe) EnableMetrics(on bool) {
 	// The metrics flag is itself atomic; no lock needed.
 	//lint:allow lockdiscipline EnableMetrics only flips the obs layer's atomic flag; taking s.mu would stall behind long updates for nothing
 	s.st.EnableMetrics(on)
-	if w := s.win.Load(); w != nil {
+	if w := s.windowed(); w != nil {
 		w.EnableTimers(on)
 	}
 }
@@ -160,7 +151,7 @@ func (s *Safe) EnableMetrics(on bool) {
 // counters are atomics, so no lock is taken: Stats never blocks behind
 // a long update.
 func (s *Safe) Stats() Stats {
-	if w := s.win.Load(); w != nil {
+	if w := s.windowed(); w != nil {
 		return w.Stats()
 	}
 	//lint:allow lockdiscipline Stats reads only the obs layer's atomic counters; lock-freedom is the documented point of the method
@@ -175,74 +166,101 @@ func (s *Safe) Stats() Stats {
 func (s *Safe) Merge(o *SketchTree) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if w := s.win.Load(); w != nil {
+	if w := s.windowed(); w != nil {
 		return w.Absorb(o.e)
 	}
-	if err := s.st.Merge(o); err != nil {
+	return s.updatedLocked(s.st.Merge(o))
+}
+
+// updatedLocked finishes a landmark update under the write lock: it
+// mirrors the live tree count for TreesProcessed and counts a
+// successful update against the snapshot cadence. A publish error
+// keeps the previous snapshot serving until the next update retries;
+// RefreshSnapshot reports it.
+func (s *Safe) updatedLocked(err error) error {
+	s.trees.Store(s.st.e.TreesProcessed())
+	if err != nil {
 		return err
 	}
-	s.noteUpdateLocked()
+	if m := s.mode.Load(); m != nil && m.pub.Note() {
+		_ = s.publishLocked(m.pub)
+	}
 	return nil
+}
+
+// windowed returns the sliding window while window serving is on, else
+// nil.
+func (s *Safe) windowed() *window.Windowed {
+	if m := s.mode.Load(); m != nil {
+		return m.win
+	}
+	return nil
+}
+
+// reader returns the engine a read runs against: the published frozen
+// engine while snapshot or window serving is on, else the live engine
+// with the read lock held. Pair every call with a deferred release.
+//
+//lint:hotpath
+func (s *Safe) reader() *core.Engine {
+	if sv := s.served(); sv != nil {
+		return sv.Value
+	}
+	s.mu.RLock()
+	return s.st.e
+}
+
+// release ends a read begun by reader, dropping the read lock when e
+// is the live engine (a published engine is a clone or a merge, never
+// the live one).
+//
+//lint:hotpath
+func (s *Safe) release(e *core.Engine) {
+	if e == s.st.e {
+		s.mu.RUnlock()
+	}
 }
 
 // CountOrdered estimates COUNT_ord(Q).
 func (s *Safe) CountOrdered(q *Node) (float64, error) {
-	if st := s.snapshotTree(); st != nil {
-		return st.CountOrdered(q)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.CountOrdered(q)
+	eng := s.reader()
+	defer s.release(eng)
+	return eng.EstimateOrdered(q)
 }
 
 // CountUnordered estimates COUNT(Q).
 func (s *Safe) CountUnordered(q *Node) (float64, error) {
-	if st := s.snapshotTree(); st != nil {
-		return st.CountUnordered(q)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.CountUnordered(q)
+	eng := s.reader()
+	defer s.release(eng)
+	return eng.EstimateUnordered(q)
 }
 
 // CountOrderedSet estimates the total frequency of distinct patterns.
 func (s *Safe) CountOrderedSet(qs []*Node) (float64, error) {
-	if st := s.snapshotTree(); st != nil {
-		return st.CountOrderedSet(qs)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.CountOrderedSet(qs)
+	eng := s.reader()
+	defer s.release(eng)
+	return eng.EstimateOrderedSet(qs)
 }
 
 // CountOrderedWithError is CountOrdered with an error bar.
 func (s *Safe) CountOrderedWithError(q *Node) (Estimate, error) {
-	if st := s.snapshotTree(); st != nil {
-		return st.CountOrderedWithError(q)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.CountOrderedWithError(q)
+	eng := s.reader()
+	defer s.release(eng)
+	return eng.EstimateOrderedWithError(q)
 }
 
 // CountUnorderedWithError is CountUnordered with an error bar.
 func (s *Safe) CountUnorderedWithError(q *Node) (Estimate, error) {
-	if st := s.snapshotTree(); st != nil {
-		return st.CountUnorderedWithError(q)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.CountUnorderedWithError(q)
+	eng := s.reader()
+	defer s.release(eng)
+	return eng.EstimateUnorderedWithError(q)
 }
 
 // CountOrderedSetWithError is CountOrderedSet with an error bar.
 func (s *Safe) CountOrderedSetWithError(qs []*Node) (Estimate, error) {
-	if st := s.snapshotTree(); st != nil {
-		return st.CountOrderedSetWithError(qs)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.CountOrderedSetWithError(qs)
+	eng := s.reader()
+	defer s.release(eng)
+	return eng.EstimateOrderedSetWithError(qs)
 }
 
 // HealthReport diagnoses the synopsis under the read lock (it reads
@@ -250,7 +268,7 @@ func (s *Safe) CountOrderedSetWithError(qs []*Node) (Estimate, error) {
 // is enabled it diagnoses the published merged engine, lock-free (the
 // merge is frozen).
 func (s *Safe) HealthReport() HealthReport {
-	if w := s.win.Load(); w != nil {
+	if w := s.windowed(); w != nil {
 		return w.HealthReport()
 	}
 	s.mu.RLock()
@@ -264,7 +282,7 @@ func (s *Safe) HealthReport() HealthReport {
 func (s *Safe) EnableAudit(k int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.win.Load() != nil {
+	if s.windowed() != nil {
 		return fmt.Errorf("sketchtree: audit and window serving are mutually exclusive")
 	}
 	return s.st.EnableAudit(k)
@@ -287,39 +305,32 @@ func (s *Safe) AuditReport() (AuditReport, error) {
 
 // EstimateExpression estimates a +, −, × expression over counts.
 func (s *Safe) EstimateExpression(e Expr) (float64, error) {
-	if st := s.snapshotTree(); st != nil {
-		return st.EstimateExpression(e)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.EstimateExpression(e)
+	eng := s.reader()
+	defer s.release(eng)
+	return eng.EstimateExpr(e)
 }
 
 // CountExtended estimates a wildcard/descendant query.
 func (s *Safe) CountExtended(q *ExtQuery) (float64, bool, error) {
-	if st := s.snapshotTree(); st != nil {
-		return st.CountExtended(q)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.CountExtended(q)
+	eng := s.reader()
+	defer s.release(eng)
+	return eng.EstimateExtended(q)
 }
 
 // TreesProcessed returns the number of trees folded in (live inside
-// the window, while the window is enabled).
+// the window, while the window is enabled). Lock-free: it never waits
+// behind an update.
 func (s *Safe) TreesProcessed() int64 {
-	if w := s.win.Load(); w != nil {
+	if w := s.windowed(); w != nil {
 		return w.Trees()
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.TreesProcessed()
+	return s.trees.Load()
 }
 
 // PatternsProcessed returns the one-dimensional stream length (live
 // inside the window, while the window is enabled).
 func (s *Safe) PatternsProcessed() int64 {
-	if w := s.win.Load(); w != nil {
+	if w := s.windowed(); w != nil {
 		return w.Patterns()
 	}
 	s.mu.RLock()
@@ -331,7 +342,7 @@ func (s *Safe) PatternsProcessed() int64 {
 // engine's, while the window is enabled; each live slice adds roughly
 // the same again).
 func (s *Safe) MemoryBytes() Memory {
-	if w := s.win.Load(); w != nil {
+	if w := s.windowed(); w != nil {
 		return w.MemoryBytes()
 	}
 	s.mu.RLock()
@@ -349,33 +360,24 @@ func (s *Safe) FrequentPatterns() []FrequentPattern {
 // CountAlternatives estimates a pattern with '|'-separated label
 // alternatives.
 func (s *Safe) CountAlternatives(q *Node) (float64, error) {
-	if st := s.snapshotTree(); st != nil {
-		return st.CountAlternatives(q)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.CountAlternatives(q)
+	eng := s.reader()
+	defer s.release(eng)
+	return eng.EstimateAlternations(q)
 }
 
 // CountOrderedUpperBound bounds COUNT_ord(Q) for patterns larger than
 // Config.MaxPatternEdges.
 func (s *Safe) CountOrderedUpperBound(q *Node) (float64, error) {
-	if st := s.snapshotTree(); st != nil {
-		return st.CountOrderedUpperBound(q)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.CountOrderedUpperBound(q)
+	eng := s.reader()
+	defer s.release(eng)
+	return eng.EstimateOrderedUpperBound(q)
 }
 
 // EstimateSelfJoinSize estimates SJ(S) = Σ f² of the pattern stream.
 func (s *Safe) EstimateSelfJoinSize(compensated bool) float64 {
-	if st := s.snapshotTree(); st != nil {
-		return st.EstimateSelfJoinSize(compensated)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.EstimateSelfJoinSize(compensated)
+	eng := s.reader()
+	defer s.release(eng)
+	return eng.EstimateSelfJoinSize(compensated)
 }
 
 // Config returns the effective (normalized) configuration.
@@ -390,7 +392,7 @@ func (s *Safe) Config() Config {
 // lock-free — the windowed shard's half of the cluster pull protocol,
 // trailing the live ring by at most the rebuild cadence.
 func (s *Safe) MarshalBinary() ([]byte, error) {
-	if w := s.win.Load(); w != nil {
+	if w := s.windowed(); w != nil {
 		return w.MarshalBinary()
 	}
 	s.mu.RLock()

@@ -209,7 +209,9 @@ func (s *Sketch) AddSketch(o *Sketch) error {
 
 // Equal reports whether two seed sets define the same ξ variables:
 // same dimensions, same family shape, and identical generator seed
-// words.
+// words. It allocates nothing.
+//
+//lint:hotpath
 func (se *Seeds) Equal(o *Seeds) bool {
 	if se == o {
 		return true
@@ -221,15 +223,9 @@ func (se *Seeds) Equal(o *Seeds) bool {
 		se.fam.Field().Modulus() != o.fam.Field().Modulus() {
 		return false
 	}
-	for i := range se.gens {
-		a, b := se.gens[i].SeedWords(), o.gens[i].SeedWords()
-		if len(a) != len(b) {
+	for i, g := range se.gens {
+		if !g.Equal(o.gens[i]) {
 			return false
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				return false
-			}
 		}
 	}
 	return true

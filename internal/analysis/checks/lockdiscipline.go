@@ -9,10 +9,11 @@ import (
 // LockDiscipline enforces the Safe wrapper's exclusion contract: an
 // exported Safe method may touch the wrapped engine (the s.st field)
 // only after acquiring s.mu.Lock or s.mu.RLock on the same control
-// path, or it must serve from the snapshot path (s.snapshotTree(),
-// which never dereferences s.st). The few deliberate lock-free reads —
-// Stats and EnableMetrics ride on the obs layer's atomics — carry
-// //lint:allow lockdiscipline with the reason.
+// path, or it must read through s.reader() (which returns a published
+// frozen engine, or takes the read lock before handing out the live
+// one; the paired s.release drops it). The few deliberate lock-free
+// reads — Stats and EnableMetrics ride on the obs layer's atomics —
+// carry //lint:allow lockdiscipline with the reason.
 //
 // The check is a linear scan of each method body: statements are
 // visited in order, a call to s.mu.(R)Lock() arms the "locked" state
@@ -22,7 +23,7 @@ import (
 // contract is the caller's (and is documented per helper).
 var LockDiscipline = &analysis.Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "exported Safe methods lock s.mu (or use the snapshot path) before touching the wrapped engine",
+	Doc:  "exported Safe methods lock s.mu (or read through s.reader()) before touching the wrapped engine",
 	Run:  runLockDiscipline,
 }
 

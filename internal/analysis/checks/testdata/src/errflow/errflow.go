@@ -18,9 +18,9 @@ func handler(w http.ResponseWriter, s *Syn) {
 	if err != nil {
 		return
 	}
-	w.Write(b)       // want "the error from w.Write is discarded"
-	_, _ = w.Write(b) // want "the error from w.Write is discarded"
-	_ = persist(s)   // want "discarded error from persist carries a serialization/IO failure"
+	w.Write(b)                         // want "the error from w.Write is discarded"
+	_, _ = w.Write(b)                  // want "the error from w.Write is discarded"
+	_ = persist(s)                     // want "discarded error from persist carries a serialization/IO failure"
 	if err := persist(s); err != nil { // checked: no finding
 		_ = err
 	}

@@ -136,7 +136,7 @@ type FuncNode struct {
 	File    *File
 	Decl    *ast.FuncDecl // nil for literals
 	Lit     *ast.FuncLit  // nil for declarations
-	Display string        // human-readable name ("Safe.AddTree", "windowLoop$1")
+	Display string        // human-readable name ("Safe.AddTree", "Puller.Run$1")
 	Pos     token.Pos
 
 	// HotPath marks functions tagged //lint:hotpath in their doc

@@ -22,6 +22,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -32,12 +33,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sketchtree"
 	"sketchtree/internal/obs"
 	"sketchtree/internal/obs/trace"
+	"sketchtree/internal/publish"
 )
 
 // Config describes cluster membership and the pull/merge policy. The
@@ -152,20 +153,9 @@ type ShardStatus struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// Serving is a published merged synopsis: the frozen engine answering
-// queries plus its provenance. Never mutated after publication, so any
-// number of readers may query Tree concurrently without locking.
-type Serving struct {
-	// Tree is the merged synopsis, frozen.
-	Tree *sketchtree.SketchTree
-	// Trees is the total tree count across the merged shard pulls.
-	Trees int64
-	// Built is when this merged state was published.
-	Built time.Time
-	// Rounds counts merged states published so far (including this
-	// one).
-	Rounds int64
-}
+// Serving is a published merged synopsis, frozen, with its provenance.
+// Its Version is the sum of the shard generations it was built from.
+type Serving = publish.State[*sketchtree.SketchTree]
 
 // shardState is the puller's book-keeping for one shard. Guarded by
 // Puller.mu.
@@ -177,18 +167,17 @@ type shardState struct {
 	nextTry  time.Time // earliest next attempt (backoff)
 	failures int       // consecutive failures
 	lastErr  error
-	gen      int64 // bumped per successful pull; drives rebuilds
+	gen      int64 // bumped when a pull brings new bytes; drives rebuilds
+	folds    int64 // successful pulls folded in; orders fetches (see round)
 }
 
 // Puller owns the coordinator's pull/merge loop and the published
 // merged state. Construct with New; do not copy.
 type Puller struct {
-	cfg     Config
-	mu      sync.Mutex // guards shards
-	shards  []*shardState
-	serving atomic.Pointer[Serving]
-	rounds  atomic.Int64
-	builtAt atomic.Int64 // gen sum the current Serving was built from
+	cfg    Config
+	mu     sync.Mutex // guards shards
+	shards []*shardState
+	pub    *publish.Publisher[*sketchtree.SketchTree]
 }
 
 // New validates cfg and creates a Puller. It performs no I/O; call Run
@@ -198,7 +187,7 @@ func New(cfg Config) (*Puller, error) {
 		return nil, fmt.Errorf("cluster: no shards configured")
 	}
 	cfg = cfg.normalize()
-	p := &Puller{cfg: cfg, shards: make([]*shardState, len(cfg.Shards))}
+	p := &Puller{cfg: cfg, shards: make([]*shardState, len(cfg.Shards)), pub: publish.New[*sketchtree.SketchTree](0)}
 	for i, u := range cfg.Shards {
 		if u == "" {
 			return nil, fmt.Errorf("cluster: shard %d has an empty URL", i)
@@ -240,7 +229,7 @@ func (p *Puller) Route(doc []byte) int { return Route(doc, len(p.shards)) }
 
 // Serving returns the current merged state, or nil before the first
 // successful pull. The returned value is immutable.
-func (p *Puller) Serving() *Serving { return p.serving.Load() }
+func (p *Puller) Serving() *Serving { return p.pub.Load() }
 
 // Status reports every shard's live provenance, in shard order.
 func (p *Puller) Status() []ShardStatus {
@@ -270,21 +259,15 @@ func (p *Puller) Status() []ShardStatus {
 // Run pulls every shard each PullEvery period until ctx is canceled,
 // rebuilding and publishing the merged synopsis whenever a pull
 // brought new state. The first round starts immediately. On return the
-// pull client's idle connections are closed, so draining shards are
-// not left waiting on quiet keep-alive conns.
+// ticker goroutine is joined and the pull client's idle connections
+// are closed, so draining shards are not left waiting on quiet
+// keep-alive conns.
 func (p *Puller) Run(ctx context.Context) {
 	defer p.cfg.Client.CloseIdleConnections()
 	p.round(ctx, false)
-	t := time.NewTicker(p.cfg.PullEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			p.round(ctx, false)
-		}
-	}
+	p.pub.Tick(p.cfg.PullEvery, func() { p.round(ctx, false) })
+	<-ctx.Done()
+	p.pub.Close()
 }
 
 // PullNow runs one pull round synchronously, ignoring per-shard
@@ -298,6 +281,14 @@ func (p *Puller) PullNow(ctx context.Context) error {
 // round pulls the due shards in parallel, folds the results into the
 // shard states, and rebuilds the merged state when anything changed.
 //
+// Rounds may overlap (the ticker and /query?fresh=1), and a shard
+// answers concurrent requests in any order. So a result is folded only
+// if no pull of its shard was folded since its fetch started — only
+// then was it served after the folded bytes — and a late rebuild loses
+// to the publisher's version check (the sum of shard generations).
+// Either way the merged state never moves back; the next round pulls
+// the dropped shard again.
+//
 // The round is traced: a round triggered by a traced request
 // (/query?fresh=1 — the request trace rides in on ctx) records its
 // per-shard pull spans and merge/publish spans into that request's
@@ -306,15 +297,16 @@ func (p *Puller) PullNow(ctx context.Context) error {
 // evicts request history.
 func (p *Puller) round(ctx context.Context, force bool) error {
 	type target struct {
-		i   int
-		url string
+		i     int
+		url   string
+		folds int64 // the shard's fold count when the fetch started
 	}
 	now := time.Now()
 	var due []target
 	p.mu.Lock()
 	for i, sh := range p.shards {
 		if force || !now.Before(sh.nextTry) {
-			due = append(due, target{i, sh.url})
+			due = append(due, target{i, sh.url, sh.folds})
 		}
 	}
 	p.mu.Unlock()
@@ -331,6 +323,7 @@ func (p *Puller) round(ctx context.Context, force bool) error {
 
 	type result struct {
 		i     int
+		folds int64
 		data  []byte
 		trees int64
 		err   error
@@ -346,7 +339,7 @@ func (p *Puller) round(ctx context.Context, force bool) error {
 			data, trees, err := p.fetch(ctx, tg.url, tr.ID())
 			p.cfg.Metrics.PullDone(tg.i, time.Since(start), int64(len(data)), err)
 			tr.EndSpan(sp)
-			results[n] = result{i: tg.i, data: data, trees: trees, err: err}
+			results[n] = result{i: tg.i, folds: tg.folds, data: data, trees: trees, err: err}
 		}(n, tg)
 	}
 	wg.Wait()
@@ -356,10 +349,13 @@ func (p *Puller) round(ctx context.Context, force bool) error {
 	p.mu.Lock()
 	for _, r := range results {
 		sh := p.shards[r.i]
+		if r.err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("shard %d (%s): %w", r.i, sh.url, r.err)
+		}
+		if r.folds != sh.folds {
+			continue // a pull folded since this fetch started may be newer
+		}
 		if r.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d (%s): %w", r.i, sh.url, r.err)
-			}
 			sh.failures++
 			sh.lastErr = r.err
 			sh.nextTry = now.Add(p.backoff(sh.failures))
@@ -370,10 +366,13 @@ func (p *Puller) round(ctx context.Context, force bool) error {
 		sh.failures = 0
 		sh.lastErr = nil
 		sh.nextTry = time.Time{}
-		sh.data = r.data
+		if !bytes.Equal(r.data, sh.data) {
+			sh.data = r.data
+			sh.gen++
+		}
+		sh.folds++
 		sh.trees = r.trees
 		sh.lastPull = now
-		sh.gen++
 	}
 	// Snapshot the per-shard bytes under mu; the restore+merge work
 	// runs outside it so Status and later rounds are never blocked
@@ -386,7 +385,11 @@ func (p *Puller) round(ctx context.Context, force bool) error {
 	}
 	p.mu.Unlock()
 
-	if gen != p.builtAt.Load() {
+	var built int64
+	if sv := p.pub.Load(); sv != nil {
+		built = sv.Version
+	}
+	if gen > built {
 		if err := p.rebuild(datas, gen, tr); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -449,15 +452,16 @@ func (p *Puller) fetch(ctx context.Context, base, traceID string) (data []byte, 
 }
 
 // rebuild restores every pulled shard synopsis and merges them in
-// shard-index order into a fresh engine, then publishes it. Because
-// the sketch cells are exact integer sums that commute, the merged
-// synopsis — and therefore every answer served from it — is
+// shard-index order into a fresh engine, then publishes it as version
+// gen. Because the sketch cells are exact integer sums that commute,
+// the merged synopsis — and therefore every answer served from it — is
 // bit-identical to a single node that ingested the whole corpus.
 // Shards that have never been pulled contribute nothing (their slice
 // is absent until they come up).
 func (p *Puller) rebuild(datas [][]byte, gen int64, tr *trace.Trace) error {
 	sp := tr.StartSpan("merge")
 	var merged *sketchtree.SketchTree
+	parts := 0
 	for i, data := range datas {
 		if data == nil {
 			continue
@@ -467,6 +471,7 @@ func (p *Puller) rebuild(datas [][]byte, gen int64, tr *trace.Trace) error {
 			tr.EndSpan(sp)
 			return fmt.Errorf("restoring shard %d synopsis: %w", i, err)
 		}
+		parts++
 		if merged == nil {
 			merged = st
 			continue
@@ -481,22 +486,17 @@ func (p *Puller) rebuild(datas [][]byte, gen int64, tr *trace.Trace) error {
 		return nil
 	}
 	sp = tr.StartSpan("publish")
-	p.publish(merged)
-	tr.EndSpan(sp)
-	p.builtAt.Store(gen)
-	p.cfg.Logger.Debug("published merged state", "trees", merged.TreesProcessed(),
-		"rounds", p.rounds.Load(), "trace_id", tr.ID())
-	return nil
-}
-
-// publish swaps in a new merged state. Kept free of restore/merge work
-// so the provenance clock read stays out of the deterministic rebuild
-// path.
-func (p *Puller) publish(merged *sketchtree.SketchTree) {
-	p.serving.Store(&Serving{
-		Tree:   merged,
-		Trees:  merged.TreesProcessed(),
-		Built:  time.Now(),
-		Rounds: p.rounds.Add(1),
+	ok := p.pub.Publish(Serving{
+		Value:   merged,
+		Trees:   merged.TreesProcessed(),
+		Parts:   parts,
+		Built:   time.Now(),
+		Version: gen,
 	})
+	tr.EndSpan(sp)
+	if ok {
+		p.cfg.Logger.Debug("published merged state", "trees", merged.TreesProcessed(),
+			"version", gen, "trace_id", tr.ID())
+	}
+	return nil
 }

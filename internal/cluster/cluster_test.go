@@ -188,8 +188,8 @@ func TestPullMergePublishes(t *testing.T) {
 	if sv == nil {
 		t.Fatal("no serving state after a clean pull round")
 	}
-	if sv.Trees != 3 || sv.Rounds != 1 {
-		t.Fatalf("serving trees=%d rounds=%d, want 3/1", sv.Trees, sv.Rounds)
+	if sv.Trees != 3 || sv.Seq != 1 {
+		t.Fatalf("serving trees=%d rounds=%d, want 3/1", sv.Trees, sv.Seq)
 	}
 
 	// The merged synopsis equals a single engine over all three docs.
@@ -211,7 +211,7 @@ func TestPullMergePublishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sv.Tree.CountOrdered(q)
+	got, err := sv.Value.CountOrdered(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +223,8 @@ func TestPullMergePublishes(t *testing.T) {
 	if err := p.PullNow(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if sv2 := p.Serving(); sv2.Rounds != 2 || sv2.Trees != 3 {
-		t.Fatalf("second round: rounds=%d trees=%d, want 2/3", sv2.Rounds, sv2.Trees)
+	if sv2 := p.Serving(); sv2.Seq != 1 || sv2.Trees != 3 {
+		t.Fatalf("second round: rounds=%d trees=%d, want 1/3", sv2.Seq, sv2.Trees)
 	}
 
 	status := p.Status()

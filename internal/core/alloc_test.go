@@ -83,3 +83,49 @@ func TestEstimateOrderedCacheHitZeroAlloc(t *testing.T) {
 		t.Fatalf("cache-hit EstimateOrdered allocates %.1f times per query, want 0", allocs)
 	}
 }
+
+// TestMergeZeroAlloc pins the rebuild paths' merge cost: with summary
+// and exact tracking off, Merge allocates nothing — the ξ-seed check
+// compares generator words in place, whether the operands share one
+// seed set (a window slice cloned from its template) or hold equal but
+// distinct ones (a cluster shard restored from its bytes).
+func TestMergeZeroAlloc(t *testing.T) {
+	cfg := testConfig()
+	cfg.TrackExact = false
+	cfg.BuildSummary = false
+	src := mustEngine(t, cfg)
+	figure1Stream(t, src)
+	data, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		operand func() (*Engine, error)
+	}{
+		{"SharedSeeds", src.Clone},
+		{"RestoredSeeds", func() (*Engine, error) { return Restore(data) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dst, err := src.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, err := tc.operand()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "RestoredSeeds" && dst.seeds == o.seeds {
+				t.Fatal("restored engine shares the seed set; the case is vacuous")
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := dst.Merge(o); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("Merge allocates %.1f times per call, want 0", allocs)
+			}
+		})
+	}
+}

@@ -49,17 +49,9 @@ func (e *Engine) Merge(o *Engine) error {
 		return fmt.Errorf("core: fingerprint moduli differ")
 	}
 	// Guard against seed-word divergence (e.g. one engine restored
-	// from a foreign snapshot): compare a generator spot check.
-	ew, ow := e.seeds.Words(), o.seeds.Words()
-	for i := range ew {
-		if len(ew[i]) != len(ow[i]) {
-			return fmt.Errorf("core: ξ seeds differ")
-		}
-		for j := range ew[i] {
-			if ew[i][j] != ow[i][j] {
-				return fmt.Errorf("core: ξ seeds differ")
-			}
-		}
+	// from a foreign snapshot under the same Config.Seed).
+	if !e.seeds.Equal(o.seeds) {
+		return fmt.Errorf("core: ξ seeds differ")
 	}
 	for i := 0; i < e.streams.P(); i++ {
 		if err := e.streams.Sketch(i).AddSketch(o.streams.Sketch(i)); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"sketchtree/internal/tree"
@@ -291,5 +292,31 @@ func TestEstimateAlternationsExample5(t *testing.T) {
 	alt, err := e.EstimateAlternations(tree.T("VP", tree.T("MD"), tree.T("NP")))
 	if err != nil || alt != plain {
 		t.Errorf("single alternative must match plain: %v vs %v (%v)", alt, plain, err)
+	}
+}
+
+// TestMergeRejectsTamperedSeedWords reaches the ξ-seed guard: the
+// operand carries the same Config (Seed included) and modulus, so only
+// the seed-word comparison can tell that one generator differs.
+func TestMergeRejectsTamperedSeedWords(t *testing.T) {
+	a := mustEngine(t, mergeConfig())
+	figure1Stream(t, a)
+	sn := decodeSnapshot(t, a)
+	w := sn.SeedWords[len(sn.SeedWords)/2]
+	w[len(w)-1] ^= 1 // still inside the field, so Restore accepts it
+	b, err := Restore(encodeSnapshot(t, sn))
+	if err != nil {
+		t.Fatalf("restoring the tampered snapshot: %v", err)
+	}
+	if err := a.Merge(b); err == nil || !strings.Contains(err.Error(), "seeds differ") {
+		t.Fatalf("Merge of a tampered seed set: err = %v, want a seed mismatch", err)
+	}
+	// The untampered bytes still merge.
+	c, err := Restore(encodeSnapshot(t, decodeSnapshot(t, a)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Merge(c); err != nil {
+		t.Fatalf("control merge: %v", err)
 	}
 }

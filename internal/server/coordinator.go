@@ -126,14 +126,14 @@ func (co *Coordinator) Run(ctx context.Context, ln net.Listener) error {
 // result is the merged provenance (nil when falling back).
 func (co *Coordinator) engine() (engine, *cluster.Serving) {
 	if sv := co.puller.Serving(); sv != nil {
-		return sv.Tree, sv
+		return sv.Value, sv
 	}
 	return co.fallback, nil
 }
 
 func (co *Coordinator) engineStats() sketchtree.Stats {
 	if sv := co.puller.Serving(); sv != nil {
-		return sv.Tree.Stats()
+		return sv.Value.Stats()
 	}
 	return co.fallback.Stats()
 }
@@ -294,7 +294,7 @@ func (co *Coordinator) clusterStatus() clusterResponse {
 		resp.Merged = &mergedStatus{
 			Trees:  sv.Trees,
 			AgeMS:  time.Since(sv.Built).Milliseconds(),
-			Rounds: sv.Rounds,
+			Rounds: sv.Seq,
 		}
 	} else {
 		resp.Fallback = true

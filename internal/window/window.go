@@ -16,8 +16,8 @@
 // Concurrency: one mutex serializes all mutators (Add, Remove, Absorb,
 // Advance, AdvanceDue, Refresh). Readers never take it — the ring is
 // published copy-on-write behind an atomic pointer, per-slice tree
-// counts are atomics, and the merged serving engine is an atomic
-// pointer to a frozen engine — so Status, Trees, Merged and query
+// counts are atomics, and the merged serving engine is a frozen engine
+// published through a publish.Publisher — so Status, Trees and query
 // serving are lock-free and never wait behind an in-flight ingest.
 //
 // The clock is injected (New's clock parameter); the merge/rebuild
@@ -34,6 +34,7 @@ import (
 
 	"sketchtree/internal/core"
 	"sketchtree/internal/obs"
+	"sketchtree/internal/publish"
 	"sketchtree/internal/tree"
 )
 
@@ -75,18 +76,6 @@ type slice struct {
 	trees atomic.Int64
 }
 
-// Merged is one published merged-window state: a frozen engine over
-// exactly the live slices at build time, plus provenance. The engine is
-// never updated after publication, so any number of goroutines may
-// query it concurrently.
-type Merged struct {
-	Eng    *core.Engine
-	Trees  int64     // trees covered by the merged state
-	Slices int       // live slices merged in
-	Built  time.Time // injected-clock time of the rebuild
-	Gen    int64     // rebuild generation, monotonically increasing
-}
-
 // Windowed is the sliding-window engine. Construct with New; the zero
 // value is not valid.
 type Windowed struct {
@@ -95,16 +84,18 @@ type Windowed struct {
 	template *core.Engine // empty donor: shared seeds, modulus, plan cache
 	met      *obs.Metrics // persistent serving metrics across rebuilds
 
-	mu           sync.Mutex // serializes all mutators
-	timers       bool       // stage-timer flag applied to new slices
-	sinceRebuild int        // updates since the last merged rebuild
+	// pub serves the merged engine over the live slices; its count
+	// cadence is RefreshEveryTrees and its publish count is the
+	// rebuild counter.
+	pub *publish.Publisher[*core.Engine]
 
-	ring   atomic.Pointer[[]*slice] // live slices, oldest first; last = current
-	merged atomic.Pointer[Merged]
+	mu     sync.Mutex // serializes all mutators
+	timers bool       // stage-timer flag applied to new slices
+
+	ring atomic.Pointer[[]*slice] // live slices, oldest first; last = current
 
 	advances atomic.Int64
 	expires  atomic.Int64
-	rebuilds atomic.Int64
 }
 
 // New builds a sliding window over template's configuration. The
@@ -160,6 +151,7 @@ func New(template *core.Engine, pol Policy, clock func() time.Time) (*Windowed, 
 		clock:    clock,
 		template: template,
 		met:      &obs.Metrics{},
+		pub:      publish.New[*core.Engine](pol.RefreshEveryTrees),
 		timers:   template.Metrics().TimersOn(),
 	}
 	w.met.EnableTimers(w.timers)
@@ -175,11 +167,9 @@ func New(template *core.Engine, pol Policy, clock func() time.Time) (*Windowed, 
 	return w, nil
 }
 
-// Policy returns the normalized policy the window runs under.
-func (w *Windowed) Policy() Policy { return w.pol }
-
-// Config returns the engine configuration every slice shares.
-func (w *Windowed) Config() core.Config { return w.template.Config() }
+// Publisher returns the publisher serving the merged engine. Never
+// nil, and never empty after New succeeds.
+func (w *Windowed) Publisher() *publish.Publisher[*core.Engine] { return w.pub }
 
 // Metrics returns the persistent serving metrics: the sink the merged
 // engine reports queries through, and where producers should attribute
@@ -377,11 +367,7 @@ func (w *Windowed) resetLocked(start time.Time) error {
 //
 //lint:hotpath
 func (w *Windowed) noteUpdateLocked() error {
-	if w.pol.RefreshEveryTrees < 0 {
-		return nil
-	}
-	w.sinceRebuild++
-	if w.sinceRebuild < w.pol.RefreshEveryTrees {
+	if !w.pub.Note() {
 		return nil
 	}
 	//lint:allow hotpath merged-state rebuild at the refresh cadence, amortized
@@ -389,13 +375,14 @@ func (w *Windowed) noteUpdateLocked() error {
 }
 
 // rebuildLocked merges the live slices into a fresh engine and
-// publishes it. The engine starts as a clone of the empty template (so
-// it shares the seeds, modulus and plan cache) with a scratch metrics
-// sink — Merge absorbs each operand's metrics into the receiver's, and
-// that absorption must not touch the slices' own counters or the
-// persistent serving sink. After the merge the persistent sink is
-// re-seeded with the merged totals and swapped in, so query accounting
-// survives across rebuilds. Caller holds w.mu.
+// publishes it, restarting the refresh cadence. The engine starts as a
+// clone of the empty template (so it shares the seeds, modulus and
+// plan cache) with a scratch metrics sink — Merge absorbs each
+// operand's metrics into the receiver's, and that absorption must not
+// touch the slices' own counters or the persistent serving sink. After
+// the merge the persistent sink is re-seeded with the merged totals
+// and swapped in, so query accounting survives across rebuilds. Caller
+// holds w.mu.
 //
 // Because the slices' stream counters are integers and the merge is a
 // cell-wise sum, the published engine is bit-identical — bytes and
@@ -415,26 +402,15 @@ func (w *Windowed) rebuildLocked() error {
 	}
 	w.met.SeedCounts(m.TreesProcessed(), m.PatternsProcessed())
 	m.SetMetrics(w.met)
-	gen := int64(1)
-	if prev := w.merged.Load(); prev != nil {
-		gen = prev.Gen + 1
-	}
-	w.merged.Store(&Merged{
-		Eng:    m,
-		Trees:  m.TreesProcessed(),
-		Slices: len(r),
-		Built:  w.clock(),
-		Gen:    gen,
+	w.pub.Publish(publish.State[*core.Engine]{
+		Value: m,
+		Trees: m.TreesProcessed(),
+		Parts: len(r),
+		Built: w.clock(),
 	})
-	w.sinceRebuild = 0
-	w.rebuilds.Add(1)
 	w.met.StageSince(obs.StagePublish, start)
 	return nil
 }
-
-// Merged returns the published merged-window state. Lock-free; never
-// nil after New succeeds.
-func (w *Windowed) Merged() *Merged { return w.merged.Load() }
 
 // Trees returns the number of trees currently live in the window
 // (net of removals), summed across slices. Lock-free.
@@ -469,7 +445,6 @@ func (w *Windowed) Status() *obs.WindowSnapshot {
 		SliceDurMS: w.pol.SliceDur.Milliseconds(),
 		Advances:   w.advances.Load(),
 		Expires:    w.expires.Load(),
-		Rebuilds:   w.rebuilds.Load(),
 	}
 	for i, sl := range r {
 		t := sl.trees.Load()
@@ -481,11 +456,11 @@ func (w *Windowed) Status() *obs.WindowSnapshot {
 			Current:  i == len(r)-1,
 		})
 	}
-	if m := w.merged.Load(); m != nil {
-		ws.MergedTrees = m.Trees
-		ws.MergedSlices = m.Slices
-		ws.MergedAgeMS = now.Sub(m.Built).Milliseconds()
-	}
+	m := w.pub.Load()
+	ws.MergedTrees = m.Trees
+	ws.MergedSlices = m.Parts
+	ws.MergedAgeMS = now.Sub(m.Built).Milliseconds()
+	ws.Rebuilds = m.Seq
 	return ws
 }
 
@@ -493,10 +468,7 @@ func (w *Windowed) Status() *obs.WindowSnapshot {
 // counters (queries, stages, health, plan cache) with the window
 // section attached. Lock-free.
 func (w *Windowed) Stats() obs.Snapshot {
-	var s obs.Snapshot
-	if m := w.merged.Load(); m != nil {
-		s = m.Eng.Stats()
-	}
+	s := w.pub.Load().Value.Stats()
 	s.Window = w.Status()
 	return s
 }
@@ -504,30 +476,12 @@ func (w *Windowed) Stats() obs.Snapshot {
 // MarshalBinary serializes the published merged window — the windowed
 // shard's half of the cluster pull protocol, and a checkpoint of the
 // live window trailing it by at most the rebuild cadence.
-func (w *Windowed) MarshalBinary() ([]byte, error) {
-	m := w.merged.Load()
-	if m == nil {
-		return nil, fmt.Errorf("window: no merged state published")
-	}
-	return m.Eng.MarshalBinary()
-}
+func (w *Windowed) MarshalBinary() ([]byte, error) { return w.pub.Load().Value.MarshalBinary() }
 
 // HealthReport diagnoses the published merged window (the frozen
 // engine, so no locking is needed).
-func (w *Windowed) HealthReport() core.HealthReport {
-	m := w.merged.Load()
-	if m == nil {
-		return core.HealthReport{}
-	}
-	return m.Eng.HealthReport()
-}
+func (w *Windowed) HealthReport() core.HealthReport { return w.pub.Load().Value.HealthReport() }
 
 // MemoryBytes reports the published merged engine's footprint (each
 // live slice adds roughly the same again).
-func (w *Windowed) MemoryBytes() core.Memory {
-	m := w.merged.Load()
-	if m == nil {
-		return core.Memory{}
-	}
-	return m.Eng.MemoryBytes()
-}
+func (w *Windowed) MemoryBytes() core.Memory { return w.pub.Load().Value.MemoryBytes() }

@@ -147,7 +147,7 @@ func TestMergedBitIdenticalToFresh(t *testing.T) {
 		}
 	}
 
-	m := w.Merged()
+	m := w.Publisher().Load()
 	if m == nil {
 		t.Fatal("no merged state published")
 	}
@@ -179,7 +179,7 @@ func TestMergedBitIdenticalToFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := m.Eng.EstimateOrdered(q)
+		got, err := m.Value.EstimateOrdered(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,8 +275,8 @@ func TestClockCadenceAdvance(t *testing.T) {
 	if len(ws.Live) != 1 || ws.LiveTrees != 0 {
 		t.Fatalf("idle catch-up must reset to one empty slice, got %+v", ws.Live)
 	}
-	if w.Merged().Trees != 0 {
-		t.Errorf("merged after full expiry covers %d trees, want 0", w.Merged().Trees)
+	if w.Publisher().Load().Trees != 0 {
+		t.Errorf("merged after full expiry covers %d trees, want 0", w.Publisher().Load().Trees)
 	}
 }
 
@@ -349,33 +349,33 @@ func TestRebuildGenerationAndCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g0 := w.Merged().Gen
+	g0 := w.Publisher().Load().Seq
 	if err := w.Add(doc(0)); err != nil {
 		t.Fatal(err)
 	}
-	if w.Merged().Gen != g0 {
+	if w.Publisher().Load().Seq != g0 {
 		t.Error("one update below the cadence must not rebuild")
 	}
 	if err := w.Add(doc(1)); err != nil {
 		t.Fatal(err)
 	}
-	if w.Merged().Gen != g0+1 {
-		t.Errorf("gen after cadence hit = %d, want %d", w.Merged().Gen, g0+1)
+	if w.Publisher().Load().Seq != g0+1 {
+		t.Errorf("gen after cadence hit = %d, want %d", w.Publisher().Load().Seq, g0+1)
 	}
-	if w.Merged().Trees != 2 {
-		t.Errorf("merged trees = %d, want 2", w.Merged().Trees)
+	if w.Publisher().Load().Trees != 2 {
+		t.Errorf("merged trees = %d, want 2", w.Publisher().Load().Trees)
 	}
 
 	// The merged engine reports queries through one persistent sink
 	// across rebuilds.
 	met := w.Metrics()
-	if _, err := w.Merged().Eng.EstimateOrdered(tree.T("a", tree.T("b"))); err != nil {
+	if _, err := w.Publisher().Load().Value.EstimateOrdered(tree.T("a", tree.T("b"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Merged().Eng.EstimateOrdered(tree.T("a", tree.T("b"))); err != nil {
+	if _, err := w.Publisher().Load().Value.EstimateOrdered(tree.T("a", tree.T("b"))); err != nil {
 		t.Fatal(err)
 	}
 	if got := met.Snapshot().Queries.Count; got != 2 {

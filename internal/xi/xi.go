@@ -32,6 +32,7 @@ package xi
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"sketchtree/internal/gf2"
 )
@@ -179,6 +180,15 @@ func (g *Generator) XiValue(v uint64) int8 {
 
 // Family returns the family the generator belongs to.
 func (g *Generator) Family() *Family { return g.fam }
+
+// Equal reports whether two generators of same-shaped families have
+// the same SeedWords, compared in place (the sign word is zero outside
+// BCH).
+//
+//lint:hotpath
+func (g *Generator) Equal(o *Generator) bool {
+	return g == o || (g.sign == o.sign && slices.Equal(g.seed, o.seed))
+}
 
 // SeedWords returns a copy of the generator's seed (for memory
 // accounting and persistence). For BCH the first word is the sign bit.

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"sketchtree/internal/core"
 	"sketchtree/internal/obs"
+	"sketchtree/internal/publish"
 )
 
 // SnapshotPolicy configures Safe snapshot serving: how often the
@@ -28,14 +30,6 @@ type SnapshotPolicy struct {
 // SnapshotPolicy.EveryTrees.
 const DefaultSnapshotEveryTrees = 1000
 
-// snapState is one published snapshot: the frozen synopsis plus its
-// provenance (tree count and wall time at refresh).
-type snapState struct {
-	st    *SketchTree
-	trees int64
-	taken time.Time
-}
-
 // EnableSnapshots switches Safe into snapshot-isolated query serving:
 // a frozen deep copy of the synopsis is published behind an atomic
 // pointer and refreshed per the policy, and every Count*/Estimate*
@@ -48,8 +42,8 @@ type snapState struct {
 // snapshot's refresh point; the staleness bound is EveryTrees updates
 // (or MaxAge, whichever refresh fires first). Reads that inspect the
 // live update state — Stats, HealthReport, AuditReport,
-// FrequentPatterns, TreesProcessed, MarshalBinary — keep their
-// existing locking semantics.
+// FrequentPatterns, TreesProcessed, MarshalBinary — still report the
+// live synopsis.
 //
 // Serving is opt-in and off by default. Enabling twice is an error;
 // call DisableSnapshots first to change the policy.
@@ -63,44 +57,53 @@ func (s *Safe) EnableSnapshots(p SnapshotPolicy) error {
 	if p.EveryTrees == 0 {
 		p.EveryTrees = DefaultSnapshotEveryTrees
 	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if s.snapEvery.Load() != 0 {
+	s.modeMu.Lock()
+	defer s.modeMu.Unlock()
+	if m := s.mode.Load(); m != nil {
+		if m.win != nil {
+			return fmt.Errorf("sketchtree: snapshot serving and window serving are mutually exclusive (the window publishes its own merged snapshot)")
+		}
 		return fmt.Errorf("sketchtree: snapshots already enabled")
 	}
-	if s.win.Load() != nil {
-		return fmt.Errorf("sketchtree: snapshot serving and window serving are mutually exclusive (the window publishes its own merged snapshot)")
-	}
+	pub := publish.New[*core.Engine](p.EveryTrees)
 	s.mu.RLock()
-	err := s.refreshLocked()
+	err := s.publishLocked(pub)
 	s.mu.RUnlock()
 	if err != nil {
 		return err
 	}
-	s.snapEvery.Store(int64(p.EveryTrees))
 	if p.MaxAge > 0 {
-		stop, done := make(chan struct{}), make(chan struct{})
-		s.snapStop, s.snapDone = stop, done
-		go s.refreshLoop(p.MaxAge, stop, done)
+		// While updates have occurred since the last publish, republish
+		// each period, so a paused stream's tail becomes visible without
+		// waiting for EveryTrees more updates.
+		pub.Tick(p.MaxAge, func() {
+			if !pub.Pending() {
+				return
+			}
+			s.mu.RLock()
+			defer s.mu.RUnlock()
+			_ = s.publishLocked(pub)
+		})
 	}
+	s.mode.Store(&serving{pub: pub})
 	return nil
 }
 
 // DisableSnapshots stops snapshot serving: the background refresher
 // (if any) is joined, the snapshot is released, and reads return to
 // the locked path. A no-op when snapshots are not enabled.
-func (s *Safe) DisableSnapshots() {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if s.snapEvery.Swap(0) == 0 {
-		return
+func (s *Safe) DisableSnapshots() { s.disable(false) }
+
+// disable turns the serving mode off if it is the named one (window or
+// snapshots): reads return to the locked path, then the mode's ticker
+// goroutine, if any, is joined.
+func (s *Safe) disable(window bool) {
+	s.modeMu.Lock()
+	defer s.modeMu.Unlock()
+	if m := s.mode.Load(); m != nil && (m.win != nil) == window {
+		s.mode.Store(nil)
+		m.pub.Close()
 	}
-	if s.snapStop != nil {
-		close(s.snapStop)
-		<-s.snapDone
-		s.snapStop, s.snapDone = nil, nil
-	}
-	s.snap.Store(nil)
 }
 
 // RefreshSnapshot rebuilds the served snapshot from the live synopsis
@@ -108,108 +111,60 @@ func (s *Safe) DisableSnapshots() {
 // but not for other readers). Useful after a bulk load to expose the
 // new state without waiting out the policy.
 func (s *Safe) RefreshSnapshot() error {
-	if s.snapEvery.Load() == 0 {
+	m := s.mode.Load()
+	if m == nil || m.win != nil {
 		return fmt.Errorf("sketchtree: snapshots not enabled")
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.refreshLocked()
+	return s.publishLocked(m.pub)
 }
 
-// SnapshotTree returns the frozen synopsis currently serving reads, or
-// nil when snapshot serving is off. The returned SketchTree never
-// changes and is safe for concurrent queries; callers can pin it to
-// answer a batch of queries against one consistent state.
-func (s *Safe) SnapshotTree() *SketchTree { return s.snapshotTree() }
+// SnapshotTree returns the frozen synopsis currently serving reads
+// (the merged window while window serving is on), or nil when neither
+// mode is on. The returned SketchTree never changes and is safe for
+// concurrent queries; callers can pin it to answer a batch of queries
+// against one consistent state.
+func (s *Safe) SnapshotTree() *SketchTree {
+	if sv := s.served(); sv != nil {
+		return &SketchTree{e: sv.Value}
+	}
+	return nil
+}
 
 // SnapshotStats reports the served snapshot's provenance: the number
 // of trees it covers and its age. While the window is enabled it
 // reports the published merged window (which serves reads through the
 // same frozen-state path). ok is false when neither is on.
 func (s *Safe) SnapshotStats() (trees int64, age time.Duration, ok bool) {
-	if w := s.win.Load(); w != nil {
-		if m := w.Merged(); m != nil {
-			return m.Trees, time.Since(m.Built), true
-		}
-		return 0, 0, false
+	if sv := s.served(); sv != nil {
+		return sv.Trees, time.Since(sv.Built), true
 	}
-	if s.snapEvery.Load() == 0 {
-		return 0, 0, false
-	}
-	sn := s.snap.Load()
-	if sn == nil {
-		return 0, 0, false
-	}
-	return sn.trees, time.Since(sn.taken), true
+	return 0, 0, false
 }
 
-// snapshotTree gates the lock-free read path: non-nil only while
-// snapshot serving or window serving is enabled and a frozen state is
-// published. The two modes are mutually exclusive, so at most one
-// branch fires.
-func (s *Safe) snapshotTree() *SketchTree {
-	if st := s.windowTree(); st != nil {
-		return st
-	}
-	if s.snapEvery.Load() == 0 {
-		return nil
-	}
-	if sn := s.snap.Load(); sn != nil {
-		return sn.st
+// served returns the published state answering lock-free reads, or
+// nil on the locked landmark path.
+//
+//lint:hotpath
+func (s *Safe) served() *publish.State[*core.Engine] {
+	if m := s.mode.Load(); m != nil {
+		return m.pub.Load()
 	}
 	return nil
 }
 
-// refreshLocked publishes a fresh snapshot. The caller must hold mu
-// (read or write), which serializes it against updates.
-func (s *Safe) refreshLocked() error {
+// publishLocked publishes a frozen clone of the live synopsis to pub.
+// The caller holds mu (read or write), which orders it against
+// updates.
+func (s *Safe) publishLocked(pub *publish.Publisher[*core.Engine]) error {
 	m := s.st.e.Metrics()
 	start := m.Now()
-	sn, err := s.st.Snapshot()
+	e, err := s.st.e.Clone()
 	if err != nil {
 		return err
 	}
-	s.updatesSince.Store(0)
-	s.snap.Store(&snapState{st: sn, trees: sn.TreesProcessed(), taken: time.Now()})
+	pub.Publish(publish.State[*core.Engine]{Value: e, Trees: e.TreesProcessed(), Parts: 1, Built: time.Now()})
 	m.StageSince(obs.StagePublish, start)
 	return nil
-}
-
-// noteUpdateLocked ticks the update counter and refreshes the snapshot
-// when the policy's EveryTrees bound is reached. The caller holds the
-// write lock. A refresh error keeps the previous snapshot serving (the
-// staleness bound degrades to the next successful refresh); errors
-// surface on explicit RefreshSnapshot calls.
-func (s *Safe) noteUpdateLocked() {
-	every := s.snapEvery.Load()
-	if every == 0 {
-		return
-	}
-	if s.updatesSince.Add(1) < every {
-		return
-	}
-	_ = s.refreshLocked()
-}
-
-// refreshLoop is the MaxAge background refresher: while updates have
-// occurred since the last refresh, it rebuilds the snapshot each
-// period, so a paused stream's tail becomes visible without waiting
-// for EveryTrees more updates.
-func (s *Safe) refreshLoop(age time.Duration, stop, done chan struct{}) {
-	defer close(done)
-	t := time.NewTicker(age)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			if s.updatesSince.Load() == 0 {
-				continue
-			}
-			s.mu.RLock()
-			_ = s.refreshLocked()
-			s.mu.RUnlock()
-		}
-	}
 }

@@ -22,14 +22,6 @@ type WindowStats = obs.WindowSnapshot
 // selected by a zero WindowPolicy.RefreshEveryTrees.
 const DefaultWindowRefreshEveryTrees = window.DefaultRefreshEveryTrees
 
-// winServing caches the SketchTree wrapper around the window's
-// published merged engine, keyed by the Merged generation pointer, so
-// the lock-free query path does not allocate per request.
-type winServing struct {
-	m  *window.Merged
-	st *SketchTree
-}
-
 // EnableWindow switches Safe from landmark ("counts since the
 // beginning") to sliding-window semantics: updates are folded into a
 // ring of per-slice sub-synopses, the window advances per the policy
@@ -49,12 +41,12 @@ type winServing struct {
 // Enabling twice is an error; call DisableWindow first to change the
 // policy.
 func (s *Safe) EnableWindow(p WindowPolicy) error {
-	s.winMu.Lock()
-	defer s.winMu.Unlock()
-	if s.win.Load() != nil {
-		return fmt.Errorf("sketchtree: window already enabled")
-	}
-	if s.snapEvery.Load() != 0 {
+	s.modeMu.Lock()
+	defer s.modeMu.Unlock()
+	if m := s.mode.Load(); m != nil {
+		if m.win != nil {
+			return fmt.Errorf("sketchtree: window already enabled")
+		}
 		return fmt.Errorf("sketchtree: window serving and snapshot serving are mutually exclusive (the window publishes its own merged snapshot)")
 	}
 	s.mu.Lock()
@@ -64,11 +56,11 @@ func (s *Safe) EnableWindow(p WindowPolicy) error {
 		return err
 	}
 	if p.SliceDur > 0 {
-		stop, done := make(chan struct{}), make(chan struct{})
-		s.winStop, s.winDone = stop, done
-		go windowLoop(w, p.SliceDur, stop, done)
+		// Tick at a quarter of the slice duration, so an idle stream's
+		// slices still expire within ~1.25x their nominal age.
+		w.Publisher().Tick(max(p.SliceDur/4, time.Millisecond), func() { _ = w.AdvanceDue() })
 	}
-	s.win.Store(w)
+	s.mode.Store(&serving{pub: w.Publisher(), win: w})
 	return nil
 }
 
@@ -77,29 +69,17 @@ func (s *Safe) EnableWindow(p WindowPolicy) error {
 // is empty — the window's slices are discarded, not folded back (an
 // expired slice cannot be distinguished from a live one after the
 // fact). A no-op when the window is not enabled.
-func (s *Safe) DisableWindow() {
-	s.winMu.Lock()
-	defer s.winMu.Unlock()
-	if s.win.Swap(nil) == nil {
-		return
-	}
-	if s.winStop != nil {
-		close(s.winStop)
-		<-s.winDone
-		s.winStop, s.winDone = nil, nil
-	}
-	s.winServing.Store(nil)
-}
+func (s *Safe) DisableWindow() { s.disable(true) }
 
 // WindowEnabled reports whether sliding-window serving is on.
-func (s *Safe) WindowEnabled() bool { return s.win.Load() != nil }
+func (s *Safe) WindowEnabled() bool { return s.windowed() != nil }
 
 // AdvanceWindow seals the current slice and starts a fresh one
 // immediately, regardless of the policy cadences — the manual-advance
 // entry point (and the only one when both cadences are zero). The
 // merged serving state is rebuilt before returning.
 func (s *Safe) AdvanceWindow() error {
-	w := s.win.Load()
+	w := s.windowed()
 	if w == nil {
 		return fmt.Errorf("sketchtree: window not enabled")
 	}
@@ -110,7 +90,7 @@ func (s *Safe) AdvanceWindow() error {
 // slices immediately, regardless of the rebuild cadence — useful after
 // a bulk load to expose the new state without waiting out the policy.
 func (s *Safe) RefreshWindow() error {
-	w := s.win.Load()
+	w := s.windowed()
 	if w == nil {
 		return fmt.Errorf("sketchtree: window not enabled")
 	}
@@ -120,53 +100,9 @@ func (s *Safe) RefreshWindow() error {
 // WindowStats reports the sliding-window section of the observability
 // snapshot. ok is false when the window is not enabled. Lock-free.
 func (s *Safe) WindowStats() (ws *WindowStats, ok bool) {
-	w := s.win.Load()
+	w := s.windowed()
 	if w == nil {
 		return nil, false
 	}
 	return w.Status(), true
-}
-
-// windowTree gates the lock-free window read path: the SketchTree
-// wrapper around the published merged engine, or nil when the window
-// is not enabled. The wrapper is cached per published generation; the
-// publication-race store is idempotent (both wrappers freeze the same
-// engine).
-func (s *Safe) windowTree() *SketchTree {
-	w := s.win.Load()
-	if w == nil {
-		return nil
-	}
-	m := w.Merged()
-	if m == nil {
-		return nil
-	}
-	if c := s.winServing.Load(); c != nil && c.m == m {
-		return c.st
-	}
-	st := &SketchTree{e: m.Eng}
-	s.winServing.Store(&winServing{m: m, st: st})
-	return st
-}
-
-// windowLoop is the clock-cadence advancer: it ticks at a quarter of
-// the slice duration (so an idle stream's slices still expire within
-// ~1.25× their nominal age) and advances every slice that has come
-// due.
-func windowLoop(w *window.Windowed, dur time.Duration, stop, done chan struct{}) {
-	defer close(done)
-	tick := dur / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			_ = w.AdvanceDue()
-		}
-	}
 }
