@@ -86,6 +86,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatrixQuery/pattern=2/cache=hit' -benchtime 1x . >/dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkMatrixMerge/vstreams=1' -benchtime 1x . >/dev/null
 	$(GO) test -run '^$$' -bench 'BenchmarkMatrixWindow/slices=4/every=8' -benchtime 1x . >/dev/null
+	$(GO) test -run '^$$' -bench 'BenchmarkMatrixSnapshot/topk=50' -benchtime 1x . >/dev/null
 
 # The cluster-mode end-to-end tests under the race detector: three
 # shard daemons plus a coordinator started through the real CLI entry

@@ -246,16 +246,29 @@ func BenchmarkProcessingCostVsS1(b *testing.B) {
 	}
 }
 
+// BenchmarkProcessingCostVsTopK reports what growing top-k adds to
+// stream processing: TREEBANK at s1 25, top-k 10 → 100, and DBLP at
+// the paper's s1 50, top-k 1 → 150. Each overhead is the ratio of the
+// summed processing times of all b.N sweeps, so -benchtime Nx averages
+// N sweeps.
 func BenchmarkProcessingCostVsTopK(b *testing.B) {
-	tb, _ := bundles(b)
+	tb, db := bundles(b)
 	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.CostSweep(tb, sc, [][2]int{{25, 10}, {25, 100}})
+	var tbSec, dbSec [2]float64
+	sweep := func(bundle *experiments.Bundle, points [][2]int, sec *[2]float64) {
+		pts, err := experiments.CostSweep(bundle, sc, points)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric((pts[1].Seconds/pts[0].Seconds-1)*100, "topk-overhead%")
+		sec[0] += pts[0].Seconds
+		sec[1] += pts[1].Seconds
 	}
+	for i := 0; i < b.N; i++ {
+		sweep(tb, [][2]int{{25, 10}, {25, 100}}, &tbSec)
+		sweep(db, [][2]int{{50, 1}, {50, 150}}, &dbSec)
+	}
+	b.ReportMetric((tbSec[1]/tbSec[0]-1)*100, "topk-overhead%")
+	b.ReportMetric((dbSec[1]/dbSec[0]-1)*100, "dblp-topk-overhead%")
 }
 
 // --- Ablations ---
@@ -691,6 +704,49 @@ func BenchmarkMatrixWindow(b *testing.B) {
 						}
 					}
 				})
+			}
+		})
+	}
+}
+
+// BenchmarkMatrixSnapshot times snapshot-serving ingest at the paper's
+// p = 229 with top-k off and on: a Safe publishing a frozen clone every
+// 10 updates ingests TREEBANK-shaped trees, so each op is one AddTree
+// plus a tenth of a publish. The synopsis is warmed with 300 trees
+// first, so top-k trackers are past their fill-up.
+func BenchmarkMatrixSnapshot(b *testing.B) {
+	var trees []*Tree
+	if err := datagen.Treebank(23, 512).ForEach(func(t *tree.Tree) error {
+		trees = append(trees, t)
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	for _, topK := range []int{0, 50} {
+		b.Run(fmt.Sprintf("topk=%d", topK), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.MaxPatternEdges = 4
+			cfg.VirtualStreams = 229
+			cfg.TopK = topK
+			safe, err := NewSafe(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, t := range trees[:300] {
+				if err := safe.AddTree(t); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := safe.EnableSnapshots(SnapshotPolicy{EveryTrees: 10}); err != nil {
+				b.Fatal(err)
+			}
+			defer safe.DisableSnapshots()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := safe.AddTree(trees[i%len(trees)]); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

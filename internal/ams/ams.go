@@ -238,6 +238,23 @@ func (s *Sketch) Clone() *Sketch {
 	return c
 }
 
+// CopySketches deep-copies sketches built over se into one counter
+// slab: three allocations (counters, sketch headers, the returned
+// slice) however many sketches there are. The copies share se.
+func (se *Seeds) CopySketches(src []*Sketch) []*Sketch {
+	n := se.Cells()
+	slab := make([]int64, len(src)*n)
+	hdrs := make([]Sketch, len(src))
+	out := make([]*Sketch, len(src))
+	for i, s := range src {
+		x := slab[i*n : (i+1)*n : (i+1)*n]
+		copy(x, s.x)
+		hdrs[i] = Sketch{seeds: se, x: x}
+		out[i] = &hdrs[i]
+	}
+	return out
+}
+
 // medianOfMeans aggregates a per-cell statistic: mean over each row of
 // s1 cells, median over the s2 row means.
 func (s *Sketch) medianOfMeans(cell func(c int) float64) float64 {
@@ -330,15 +347,15 @@ func medianInPlace(xs []float64) float64 {
 }
 
 // Estimator is reusable scratch for repeated count estimation over
-// sketches sharing one Seeds: the ξ preparation, the per-cell parity
-// bits, and the row means live in the Estimator, so steady-state
+// sketches sharing one Seeds: the ξ preparation, the per-cell sign
+// masks, and the row means live in the Estimator, so steady-state
 // estimation allocates nothing. Results are bit-identical to
 // EstimateCount. An Estimator is not safe for concurrent use; pool
 // one per goroutine.
 type Estimator struct {
 	seeds *Seeds
 	prep  *xi.Prep
-	bits  []uint8
+	signs []int64
 	rows  []float64
 }
 
@@ -347,7 +364,7 @@ func (se *Seeds) NewEstimator() *Estimator {
 	return &Estimator{
 		seeds: se,
 		prep:  &xi.Prep{},
-		bits:  make([]uint8, se.Cells()),
+		signs: make([]int64, se.Cells()),
 		rows:  make([]float64, se.s2),
 	}
 }
@@ -361,14 +378,12 @@ func (es *Estimator) Count(s *Sketch, v uint64, adjust []int64) float64 {
 	return es.CountPrepared(s, es.prep, adjust)
 }
 
-// CountPrepared is Count for an already-prepared value — the top-k
-// processing path estimates the very value whose preparation it was
-// handed, so re-deriving it would double the GF(2^m) work.
+// CountPrepared is Count for an already-prepared value.
 //
 //lint:hotpath
 func (es *Estimator) CountPrepared(s *Sketch, p *xi.Prep, adjust []int64) float64 {
 	se := es.seeds
-	se.batch.BitsInto(p, es.bits)
+	se.batch.SignsInto(p, es.signs)
 	for i := 0; i < se.s2; i++ {
 		sum := 0.0
 		base := i * se.s1
@@ -378,14 +393,49 @@ func (es *Estimator) CountPrepared(s *Sketch, p *xi.Prep, adjust []int64) float6
 			if adjust != nil {
 				x += adjust[c]
 			}
-			if es.bits[c] != 0 {
-				x = -x
-			}
-			sum += float64(x)
+			m := es.signs[c]
+			sum += float64((x ^ m) - m)
 		}
 		es.rows[i] = sum / float64(se.s1)
 	}
 	return medianInPlace(es.rows)
+}
+
+// AddSigned adds delta·ξ_v to every cell, with ξ_v given as v's sign
+// masks (xi.Batch.SignsInto): UpdatePrepared for a caller that applies
+// one value more than once from a single ξ evaluation.
+//
+//lint:hotpath
+func (s *Sketch) AddSigned(signs []int64, delta int64) {
+	signs = signs[:len(s.x)]
+	for c, m := range signs {
+		s.x[c] += (delta ^ m) - m
+	}
+}
+
+// AddSignedCount is AddSigned fused with the count estimate of the same
+// value from the updated cells: one pass updates each cell and folds
+// its ξ·x into the row sum, in CountPrepared's cell order and float64
+// accumulation. The counters end exactly as after AddSigned, and the
+// estimate is bit-identical to CountPrepared's on them. rows is
+// scratch of S2 entries.
+//
+//lint:hotpath
+func (s *Sketch) AddSignedCount(signs []int64, delta int64, rows []float64) float64 {
+	s1, s2 := s.seeds.s1, s.seeds.s2
+	rows = rows[:s2]
+	for i := range rows {
+		xs := s.x[i*s1 : (i+1)*s1]
+		ms := signs[i*s1 : (i+1)*s1]
+		sum := 0.0
+		for j, m := range ms {
+			x := xs[j] + (delta ^ m) - m
+			xs[j] = x
+			sum += float64((x ^ m) - m)
+		}
+		rows[i] = sum / float64(s1)
+	}
+	return medianInPlace(rows)
 }
 
 // EstimateCount estimates the frequency of value v: median over rows

@@ -19,22 +19,21 @@ import (
 // itself).
 //
 // Shared, immutable state — the ξ family, the AMS seeds, the
-// fingerprint modulus, and the query-plan cache (the pattern → value
+// fingerprint modulus, the query-estimator pool (an estimator depends
+// only on the seeds) and the query-plan cache (the pattern → value
 // mapping is identical across clones) — is referenced, not copied.
 // The observability Metrics are also shared, so queries served from a
 // clone are counted in the source engine's Stats. Mutable synopsis
 // state — sketch counters, top-k trackers, the structural summary, the
-// exact baseline — is copied. The exact-shadow auditor is process-local
+// exact baseline — is copied: the counters into one slab, each tracker
+// as it is laid out. The exact-shadow auditor is process-local
 // bookkeeping of the live update path and is not carried over
 // (AuditEnabled is false on the clone).
 //
 // The receiver must be quiescent or locked against updates while
 // cloning; Safe takes care of that for snapshot serving.
 func (e *Engine) Clone() (*Engine, error) {
-	streams, err := e.streams.Clone()
-	if err != nil {
-		return nil, fmt.Errorf("core: clone: %w", err)
-	}
+	streams := e.streams.Clone()
 	// The clone never updates, but applyTree's machinery stays usable so
 	// a clone behaves like any engine (tests merge into clones, etc.).
 	en, err := enum.NewEnumerator(e.cfg.MaxPatternEdges)
@@ -54,19 +53,16 @@ func (e *Engine) Clone() (*Engine, error) {
 		met:      e.met,
 		prep:     &xi.Prep{},
 		en:       en,
+		qest:     e.qest,
 		plans:    e.plans,
 	}
 	c.visit = c.visitPattern
-	c.qest.New = func() any { return c.seeds.NewEstimator() }
 	if e.trackers != nil {
 		c.trackers = make([]*topk.Tracker, len(e.trackers))
 		for i, t := range e.trackers {
-			ct, err := topk.Restore(e.cfg.TopK, streams.Sketch(i), t.Entries())
-			if err != nil {
-				return nil, fmt.Errorf("core: clone: stream %d: %w", i, err)
-			}
-			c.trackers[i] = ct
+			c.trackers[i] = t.Clone(streams.Sketch(i))
 		}
+		c.newTopKScratch()
 	}
 	if e.sum != nil {
 		sn := e.sum.Snapshot()

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
+	"sketchtree/internal/datagen"
+	"sketchtree/internal/topk"
 	"sketchtree/internal/tree"
 )
 
@@ -15,46 +18,125 @@ func cloneConfig() Config {
 	return cfg
 }
 
+// snapshotTreebankConfig is the synopsis sketchtreed serves with
+// snapshots on TREEBANK-shaped documents: the paper's k, s1, s2 and p
+// with top-k 50.
+func snapshotTreebankConfig() Config {
+	cfg := DefaultConfig()
+	cfg.MaxPatternEdges = 4
+	cfg.S1, cfg.S2 = 25, 7
+	cfg.VirtualStreams = 229
+	cfg.TopK = 50
+	return cfg
+}
+
 func TestCloneBitIdentical(t *testing.T) {
-	e := mustEngine(t, cloneConfig())
-	figure1Stream(t, e)
-	c, err := e.Clone()
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		feed    func(testing.TB, *Engine)
+		queries []*tree.Node
+	}{
+		{
+			name: "figure1",
+			cfg:  cloneConfig(),
+			feed: figure1Stream,
+			queries: []*tree.Node{
+				tree.T("A", tree.T("B")),
+				tree.T("A", tree.T("B"), tree.T("C")),
+				tree.T("A", tree.T("B"), tree.T("B"), tree.T("C")),
+			},
+		},
+		{
+			name: "snapshot-treebank",
+			cfg:  snapshotTreebankConfig(),
+			feed: func(t testing.TB, e *Engine) {
+				t.Helper()
+				if err := datagen.Treebank(7, 300).ForEach(e.AddTree); err != nil {
+					t.Fatal(err)
+				}
+			},
+			queries: []*tree.Node{
+				tree.T("S", tree.T("NP")),
+				tree.T("NP", tree.T("DT"), tree.T("NN")),
+				tree.T("S", tree.T("NP", tree.T("DT")), tree.T("VP")),
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := mustEngine(t, tc.cfg)
+			tc.feed(t, e)
+			c, err := e.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.TreesProcessed() != e.TreesProcessed() || c.PatternsProcessed() != e.PatternsProcessed() {
+				t.Fatalf("clone counters %d/%d != %d/%d",
+					c.TreesProcessed(), c.PatternsProcessed(), e.TreesProcessed(), e.PatternsProcessed())
+			}
+			for _, q := range tc.queries {
+				want, err1 := e.EstimateOrdered(q)
+				got, err2 := c.EstimateOrdered(q)
+				if err1 != nil || err2 != nil || want != got {
+					t.Errorf("%s: ordered clone %v != source %v (errs %v/%v)", q, got, want, err1, err2)
+				}
+				wu, err1 := e.EstimateUnordered(q)
+				gu, err2 := c.EstimateUnordered(q)
+				if err1 != nil || err2 != nil || wu != gu {
+					t.Errorf("%s: unordered clone %v != source %v (errs %v/%v)", q, gu, wu, err1, err2)
+				}
+			}
+			if w, g := e.EstimateSelfJoinSize(true), c.EstimateSelfJoinSize(true); w != g {
+				t.Errorf("self-join clone %v != source %v", g, w)
+			}
+			wf, gf := e.FrequentPatterns(), c.FrequentPatterns()
+			if len(wf) != len(gf) {
+				t.Fatalf("clone tracks %d frequent patterns, source %d", len(gf), len(wf))
+			}
+			for i := range wf {
+				if wf[i] != gf[i] {
+					t.Errorf("frequent[%d]: clone %+v != source %+v", i, gf[i], wf[i])
+				}
+			}
+			wb, err1 := e.MarshalBinary()
+			gb, err2 := c.MarshalBinary()
+			if err1 != nil || err2 != nil || !bytes.Equal(wb, gb) {
+				t.Errorf("clone serializes to %d bytes unequal to the source's %d (errs %v/%v)", len(gb), len(wb), err1, err2)
+			}
+		})
 	}
-	if c.TreesProcessed() != e.TreesProcessed() || c.PatternsProcessed() != e.PatternsProcessed() {
-		t.Fatalf("clone counters %d/%d != %d/%d",
-			c.TreesProcessed(), c.PatternsProcessed(), e.TreesProcessed(), e.PatternsProcessed())
-	}
-	queries := []*tree.Node{
-		tree.T("A", tree.T("B")),
-		tree.T("A", tree.T("B"), tree.T("C")),
-		tree.T("A", tree.T("B"), tree.T("B"), tree.T("C")),
-	}
-	for _, q := range queries {
-		want, err1 := e.EstimateOrdered(q)
-		got, err2 := c.EstimateOrdered(q)
-		if err1 != nil || err2 != nil || want != got {
-			t.Errorf("%s: ordered clone %v != source %v (errs %v/%v)", q, got, want, err1, err2)
+}
+
+// TestCloneAllocsIndependentOfTrackedEntries pins the copy-only clone:
+// counters go into one slab and each tracker into one entry slab, so
+// the allocation count depends on the number of trackers, never on how
+// many values they track.
+func TestCloneAllocsIndependentOfTrackedEntries(t *testing.T) {
+	cfg := snapshotTreebankConfig()
+	allocs := func(perTracker int) float64 {
+		e := mustEngine(t, cfg)
+		for i := range e.trackers {
+			entries := make([]topk.ValueFreq, perTracker)
+			for j := range entries {
+				entries[j] = topk.ValueFreq{Value: uint64(j*cfg.VirtualStreams + i), Freq: int64(j%7 + 1)}
+			}
+			tr, err := topk.Restore(cfg.TopK, e.streams.Sketch(i), entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.trackers[i] = tr
 		}
-		wu, err1 := e.EstimateUnordered(q)
-		gu, err2 := c.EstimateUnordered(q)
-		if err1 != nil || err2 != nil || wu != gu {
-			t.Errorf("%s: unordered clone %v != source %v (errs %v/%v)", q, gu, wu, err1, err2)
-		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := e.Clone(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	if w, g := e.EstimateSelfJoinSize(true), c.EstimateSelfJoinSize(true); w != g {
-		t.Errorf("self-join clone %v != source %v", g, w)
+	one, full := allocs(1), allocs(cfg.TopK)
+	if one != full {
+		t.Fatalf("Clone makes %v allocations with one tracked value per tracker, %v with full trackers", one, full)
 	}
-	wf, gf := e.FrequentPatterns(), c.FrequentPatterns()
-	if len(wf) != len(gf) {
-		t.Fatalf("clone tracks %d frequent patterns, source %d", len(gf), len(wf))
-	}
-	for i := range wf {
-		if wf[i] != gf[i] {
-			t.Errorf("frequent[%d]: clone %+v != source %+v", i, gf[i], wf[i])
-		}
-	}
+	t.Logf("Clone makes %v allocations at p=%d, top-k %d", full, cfg.VirtualStreams, cfg.TopK)
 }
 
 // TestCloneIsFrozen checks snapshot isolation: updates to the source

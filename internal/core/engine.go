@@ -187,6 +187,8 @@ type Engine struct {
 	met *obs.Metrics
 
 	prep      *xi.Prep         // reused across updates
+	signs     []int64          // the top-k arrival's ξ sign masks; nil when TopK == 0
+	tks       *topk.Scratch    // Algorithm 4 scratch; nil when TopK == 0
 	encodeBuf []byte           // reused sequence-encoding buffer
 	en        *enum.Enumerator // reused across updates; Reset per tree
 	penc      patternEncoder   // reused pattern → Prüfer-bytes encoder
@@ -200,8 +202,13 @@ type Engine struct {
 
 	// qest pools query-side estimators: concurrent queries on one
 	// frozen engine (snapshot serving) each borrow a scratch estimator
-	// instead of allocating rows and parity bits per call.
-	qest sync.Pool
+	// instead of allocating rows and sign masks per call. An estimator
+	// depends only on the seeds, so the pool is built with them (New,
+	// Restore) and every clone shares it. It must not live inside the
+	// engine: sync keeps each pool it has handed an object from
+	// reachable until two GCs pass, and a pool embedded in a published
+	// clone would keep that whole clone alive with it.
+	qest *sync.Pool
 
 	// plans memoizes the query-side pattern → value mapping; nil when
 	// Config.PlanCacheSize is PlanCacheDisabled. It is internally
@@ -274,10 +281,10 @@ func New(cfg Config) (*Engine, error) {
 		met:     &obs.Metrics{},
 		prep:    &xi.Prep{},
 		en:      en,
+		qest:    estimatorPool(seeds),
 		plans:   newPlanCache(cfg.PlanCacheSize),
 	}
 	e.visit = e.visitPattern
-	e.qest.New = func() any { return seeds.NewEstimator() }
 	if cfg.TopK > 0 {
 		e.trackers = make([]*topk.Tracker, cfg.VirtualStreams)
 		for i := range e.trackers {
@@ -287,6 +294,7 @@ func New(cfg Config) (*Engine, error) {
 			}
 			e.trackers[i] = t
 		}
+		e.newTopKScratch()
 	}
 	if cfg.BuildSummary {
 		e.sum = summary.New(cfg.SummaryMaxNodes)
@@ -295,6 +303,19 @@ func New(cfg Config) (*Engine, error) {
 		e.truth = exact.New()
 	}
 	return e, nil
+}
+
+// estimatorPool builds the query-estimator pool shared by an engine and
+// its clones. Its New captures only the seeds.
+func estimatorPool(seeds *ams.Seeds) *sync.Pool {
+	return &sync.Pool{New: func() any { return seeds.NewEstimator() }}
+}
+
+// newTopKScratch allocates the update path's Algorithm 4 scratch,
+// shared by every tracker of the engine.
+func (e *Engine) newTopKScratch() {
+	e.signs = make([]int64, e.seeds.Cells())
+	e.tks = topk.NewScratch(e.seeds)
 }
 
 // Config returns the effective configuration.
@@ -394,14 +415,23 @@ func (e *Engine) visitPattern(p *enum.Pattern) error {
 		a.mark = now
 	}
 	e.fam.Prepare(v, e.prep)
-	e.streams.UpdatePrepared(v, e.prep, a.delta)
+	// A sampled arrival goes through Algorithm 4, which applies it to
+	// the sketch itself, from one evaluation of v's ξ signs; every
+	// other occurrence is a plain sketch update.
+	topK := a.delta > 0 && e.trackers != nil && e.sampleTopK()
+	if topK {
+		e.seeds.Batch().SignsInto(e.prep, e.signs)
+		e.streams.AddItems(v, a.delta)
+	} else {
+		e.streams.UpdatePrepared(v, e.prep, a.delta)
+	}
 	if a.timed {
 		now := time.Now()
 		a.skNs += now.Sub(a.mark).Nanoseconds()
 		a.mark = now
 	}
-	if a.delta > 0 && e.trackers != nil && e.sampleTopK() {
-		e.trackers[e.streams.Route(v)].Process(v, e.prep)
+	if topK {
+		e.trackers[e.streams.Route(v)].Process(v, e.signs, e.tks)
 		if a.timed {
 			now := time.Now()
 			a.tkNs += now.Sub(a.mark).Nanoseconds()

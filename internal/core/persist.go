@@ -140,13 +140,13 @@ func Restore(data []byte) (*Engine, error) {
 		rng:      rand.New(rand.NewPCG(cfg.Seed, 0x5ce7c47ee^uint64(sn.Trees))),
 		prep:     &xi.Prep{},
 		en:       en,
+		qest:     estimatorPool(seeds),
 		plans:    newPlanCache(cfg.PlanCacheSize),
 		trees:    sn.Trees,
 		patterns: sn.Patterns,
 		met:      &obs.Metrics{},
 	}
 	e.visit = e.visitPattern
-	e.qest.New = func() any { return seeds.NewEstimator() }
 	// Stage timings and the latency histogram are process-local and
 	// start fresh, but the counters realign with the persisted totals
 	// so Stats matches TreesProcessed/PatternsProcessed after restore.
@@ -164,6 +164,7 @@ func Restore(data []byte) (*Engine, error) {
 			}
 			e.trackers[i] = t
 		}
+		e.newTopKScratch()
 	} else if sn.TopKEntries != nil {
 		return nil, fmt.Errorf("core: snapshot has top-k state but config disables tracking")
 	}

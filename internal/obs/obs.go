@@ -35,10 +35,13 @@ const (
 	// fingerprint to a one-dimensional value (§6.1).
 	StageFingerprint
 	// StageSketch is ξ preparation plus the AMS sketch update across
-	// the routed virtual stream.
+	// the routed virtual stream. For an arrival that goes through top-k
+	// it is ξ preparation plus the evaluation of v's per-cell ξ signs;
+	// the cell update itself is timed under StageTopK.
 	StageSketch
 	// StageTopK is per-pattern top-k frequent-pattern processing
-	// (Algorithm 4).
+	// (Algorithm 4), including the arrival's own cell update, which it
+	// fuses with the add-back and the re-estimate.
 	StageTopK
 	// StageMerge is the cell-wise shard merge of parallel ingestion.
 	StageMerge

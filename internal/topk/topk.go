@@ -69,19 +69,29 @@ type Tracker struct {
 	minFreq     atomic.Int64
 	deletedMass atomic.Int64
 
-	// Hot-path scratch: Process runs once per sampled pattern
-	// occurrence, so its re-estimation and eviction updates must not
-	// allocate. est reuses row/bit buffers, prep re-prepares evicted
-	// values, and free recycles list entries displaced earlier.
-	est  *ams.Estimator
-	prep *xi.Prep
+	// free recycles list entries displaced earlier, so admissions in
+	// steady state allocate nothing.
 	free []*entry
 }
 
-// New creates a tracker of capacity k over the sketch. The sketch must
-// receive all its stream updates before Process is called for the
-// corresponding value (Algorithm 1 updates the sketches first, then
-// invokes top-k processing).
+// Scratch is the working memory of Process: the preparation of an
+// evicted minimum and the re-estimate's row means. It belongs to the
+// updating goroutine, not to a tracker, so one serves every tracker of
+// an engine and a cloned tracker carries none.
+type Scratch struct {
+	prep *xi.Prep
+	rows []float64
+}
+
+// NewScratch returns Process scratch for trackers over sketches of the
+// seeds.
+func NewScratch(seeds *ams.Seeds) *Scratch {
+	return &Scratch{prep: &xi.Prep{}, rows: make([]float64, seeds.S2())}
+}
+
+// New creates a tracker of capacity k over the sketch. Arrivals the
+// tracker processes reach the sketch through Process, which applies
+// them itself.
 func New(k int, sketch *ams.Sketch) (*Tracker, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("topk: k=%d must be positive", k)
@@ -93,8 +103,6 @@ func New(k int, sketch *ams.Sketch) (*Tracker, error) {
 		k:       k,
 		sketch:  sketch,
 		entries: make(map[uint64]*entry),
-		est:     sketch.Seeds().NewEstimator(),
-		prep:    &xi.Prep{},
 	}, nil
 }
 
@@ -129,8 +137,9 @@ func (t *Tracker) Tracked(v uint64) (int64, bool) {
 	return e.freq, true
 }
 
-// Process runs Algorithm 4 for one arrival of value v, whose ξ
-// preparation is p. The sketch must already include the arrival.
+// Process applies one arrival of value v to the sketch and runs
+// Algorithm 4 for it. signs holds v's per-cell ξ sign masks
+// (xi.Batch.SignsInto); sc is the caller's scratch.
 //
 // Steps: if v is tracked, its deleted instances are added back and the
 // entry removed (lines 1–7); the frequency of v is then re-estimated
@@ -141,19 +150,23 @@ func (t *Tracker) Tracked(v uint64) (int64, bool) {
 // are deleted from the sketch and v is recorded (lines 14–18). The
 // delete condition holds on exit.
 //
+// The arrival, the add-back and the re-estimate share one pass over
+// the cells: they add 1 + f_v to each cell and sum the s2 rows of the
+// result, which leaves the counters and the estimate exactly as an
+// update, an add-back and a separate estimate would. The deletion is a
+// second pass with the same masks.
+//
 //lint:hotpath
-func (t *Tracker) Process(v uint64, p *xi.Prep) {
+func (t *Tracker) Process(v uint64, signs []int64, sc *Scratch) {
+	delta := int64(1)
 	if e, ok := t.entries[v]; ok {
-		t.sketch.UpdatePrepared(p, e.freq) // add the deleted instances back
+		delta += e.freq // add the deleted instances back with the arrival
 		heap.Remove(&t.heap, e.pos)
 		delete(t.entries, v)
 		t.deletedMass.Add(-e.freq)
 		t.free = append(t.free, e)
 	}
-	// Re-estimate through the caller's preparation of v — Algorithm 4
-	// line 8 scores exactly the value that just arrived, so the GF(2^m)
-	// value-side work is already done.
-	est := int64(math.Round(t.est.CountPrepared(t.sketch, p, nil)))
+	est := int64(math.Round(t.sketch.AddSignedCount(signs, delta, sc.rows)))
 	if est <= 0 {
 		t.syncMirror()
 		return
@@ -166,16 +179,16 @@ func (t *Tracker) Process(v uint64, p *xi.Prep) {
 		// Evict the minimum: restore its instances to the sketch.
 		min := heap.Pop(&t.heap).(*entry)
 		delete(t.entries, min.value)
-		t.sketch.Seeds().Prepare(min.value, t.prep)
-		t.sketch.UpdatePrepared(t.prep, min.freq)
+		t.sketch.Seeds().Prepare(min.value, sc.prep)
+		t.sketch.UpdatePrepared(sc.prep, min.freq)
 		t.evictions.Add(1)
 		t.deletedMass.Add(-min.freq)
 		t.free = append(t.free, min)
 	}
 	e := t.newEntry(v, est)
 	heap.Push(&t.heap, e)
-	t.entries[v] = e                 //lint:allow hotpath entries are bounded by k; inserts beyond k follow an eviction
-	t.sketch.UpdatePrepared(p, -est) // delete the estimated instances
+	t.entries[v] = e                //lint:allow hotpath entries are bounded by k; inserts beyond k follow an eviction
+	t.sketch.AddSigned(signs, -est) // delete the estimated instances
 	t.promotions.Add(1)
 	t.deletedMass.Add(est)
 	t.syncMirror()
@@ -339,6 +352,35 @@ func Restore(k int, sketch *ams.Sketch, entries []ValueFreq) (*Tracker, error) {
 	}
 	t.syncMirror()
 	return t, nil
+}
+
+// Clone copies the tracker onto sketch, which must hold a copy of the
+// tracker's sketch counters. The heap keeps its exact layout, so ties
+// between equal frequencies break the same way in both trackers. The
+// entries live in one slab filled in heap-slice order, and the list is
+// rebuilt from that slab. The list is sized for the capacity k, as a
+// live list is once it has filled, so a clone costs the same number of
+// allocations however many values are tracked.
+func (t *Tracker) Clone(sketch *ams.Sketch) *Tracker {
+	n := len(t.heap)
+	c := &Tracker{
+		k:       t.k,
+		sketch:  sketch,
+		entries: make(map[uint64]*entry, t.k),
+		heap:    make(entryHeap, n),
+	}
+	slab := make([]entry, n)
+	for i, e := range t.heap {
+		slab[i] = *e
+		c.heap[i] = &slab[i]
+		c.entries[e.value] = &slab[i]
+	}
+	c.promotions.Store(t.promotions.Load())
+	c.evictions.Store(t.evictions.Load())
+	c.residency.Store(t.residency.Load())
+	c.minFreq.Store(t.minFreq.Load())
+	c.deletedMass.Store(t.deletedMass.Load())
+	return c
 }
 
 // MemoryBytes accounts the heap and list storage: 24 bytes of payload

@@ -21,12 +21,13 @@ func newSketch(t testing.TB, s1, s2 int, seed uint64) *ams.Sketch {
 	return se.NewSketch()
 }
 
-// process feeds a value arrival through sketch update + Algorithm 4,
-// the order prescribed by Algorithm 1.
+// process feeds a value arrival through Process, which applies it to
+// the sketch and runs Algorithm 4 (Algorithm 1's top-k path).
 func process(tr *Tracker, sk *ams.Sketch, v uint64) {
 	p := sk.Seeds().Prepare(v, nil)
-	sk.UpdatePrepared(p, 1)
-	tr.Process(v, p)
+	signs := make([]int64, sk.Seeds().Cells())
+	sk.Seeds().Batch().SignsInto(p, signs)
+	tr.Process(v, signs, NewScratch(sk.Seeds()))
 }
 
 func TestNewValidation(t *testing.T) {
@@ -273,12 +274,14 @@ func BenchmarkProcess(b *testing.B) {
 	for i := range vals {
 		vals[i] = uint64(rng.ExpFloat64() * 20) // skewed
 	}
+	signs := make([]int64, sk.Seeds().Cells())
+	sc := NewScratch(sk.Seeds())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := vals[i%len(vals)]
 		p := sk.Seeds().Prepare(v, nil)
-		sk.UpdatePrepared(p, 1)
-		tr.Process(v, p)
+		sk.Seeds().Batch().SignsInto(p, signs)
+		tr.Process(v, signs, sc)
 	}
 }
 
@@ -359,9 +362,8 @@ func TestRestoreValidation(t *testing.T) {
 
 // TestProcessZeroAlloc pins the Algorithm 4 hot path at zero heap
 // allocations per arrival once the tracker has warmed up: the
-// re-estimation reuses the tracker's Estimator scratch, evictions
-// re-prepare through the tracker's Prep, and list entries come off the
-// free list.
+// re-estimate's rows and the evictions' preparation live in the
+// caller's Scratch, and list entries come off the free list.
 func TestProcessZeroAlloc(t *testing.T) {
 	sk := newSketch(t, 8, 5, 23)
 	tr, err := New(4, sk)
@@ -377,13 +379,15 @@ func TestProcessZeroAlloc(t *testing.T) {
 		}
 	}
 	p := &xi.Prep{}
+	signs := make([]int64, sk.Seeds().Cells())
+	sc := NewScratch(sk.Seeds())
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		v := vals[i%len(vals)]
 		i++
 		sk.Seeds().Prepare(v, p)
-		sk.UpdatePrepared(p, 1)
-		tr.Process(v, p)
+		sk.Seeds().Batch().SignsInto(p, signs)
+		tr.Process(v, signs, sc)
 	})
 	if allocs != 0 {
 		t.Fatalf("Process allocates %.1f times per arrival, want 0", allocs)

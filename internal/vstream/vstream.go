@@ -70,21 +70,20 @@ func FromCounters(seeds *ams.Seeds, counters [][]int64) (*Streams, error) {
 }
 
 // Clone deep-copies the partition: counters and item diagnostics are
-// copied, the (immutable) seeds are shared. The receiver must be
-// quiescent or read-locked against updates while cloning.
-func (s *Streams) Clone() (*Streams, error) {
-	counters := make([][]int64, len(s.sketches))
-	for i, sk := range s.sketches {
-		counters[i] = sk.Counters()
-	}
-	c, err := FromCounters(s.seeds, counters)
-	if err != nil {
-		return nil, err
+// copied, the (immutable) seeds are shared. All counters land in one
+// slab, copied once. The receiver must be quiescent or read-locked
+// against updates while cloning.
+func (s *Streams) Clone() *Streams {
+	c := &Streams{
+		seeds:    s.seeds,
+		p:        s.p,
+		sketches: s.seeds.CopySketches(s.sketches),
+		items:    make([]atomic.Int64, len(s.items)),
 	}
 	for i := range s.items {
 		c.items[i].Store(s.items[i].Load())
 	}
-	return c, nil
+	return c
 }
 
 // P returns the number of virtual streams.
@@ -121,6 +120,13 @@ func (s *Streams) UpdatePrepared(v uint64, p *xi.Prep, delta int64) {
 	s.sketches[r].UpdatePrepared(p, delta)
 	s.items[r].Add(delta)
 }
+
+// AddItems counts delta occurrences of v in its virtual stream's item
+// diagnostics without touching the sketch, for a caller that applies
+// the counter update itself (top-k processing, topk.Tracker.Process).
+//
+//lint:hotpath
+func (s *Streams) AddItems(v uint64, delta int64) { s.items[s.Route(v)].Add(delta) }
 
 // Items returns the net occurrences routed to virtual stream i so far
 // in this process (insertions minus deletions). Safe to call

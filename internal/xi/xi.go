@@ -318,13 +318,16 @@ func (b *Batch) AddInto(p *Prep, delta int64, x []int64) {
 	}
 }
 
-// BitsInto writes each generator's parity bit on p — 0 for ξ = +1,
-// 1 for ξ = −1 — into dst, which must have exactly Len entries. The
-// query-side estimators use it to evaluate one value against every
-// cell without per-cell generator dereferences.
+// SignsInto writes each generator's ξ on p as a sign mask — 0 for
+// ξ = +1, −1 (all bits set) for ξ = −1 — into dst, which must have
+// exactly Len entries. With m the mask, (d ^ m) − m is ξ·d, so one
+// evaluation of a value serves any number of branchless counter
+// updates and estimates over every cell: the estimators read ξ·x this
+// way, and top-k processing applies an arrival, re-estimates it and
+// deletes it from one set of masks.
 //
 //lint:hotpath
-func (b *Batch) BitsInto(p *Prep, dst []uint8) {
+func (b *Batch) SignsInto(p *Prep, dst []int64) {
 	dst = dst[:b.n]
 	if b.fam.kind == BCH {
 		w0, w1 := p.words[0], p.words[1]
@@ -335,7 +338,7 @@ func (b *Batch) BitsInto(p *Prep, dst []uint8) {
 			bit := signs[c] ^
 				uint64(bits.OnesCount64(s0[c]&w0)) ^
 				uint64(bits.OnesCount64(s1[c]&w1))
-			dst[c] = uint8(bit & 1)
+			dst[c] = -int64(bit & 1)
 		}
 		return
 	}
@@ -344,6 +347,6 @@ func (b *Batch) BitsInto(p *Prep, dst []uint8) {
 		for j, w := range p.words {
 			bit ^= uint64(bits.OnesCount64(b.words[j][c] & w))
 		}
-		dst[c] = uint8(bit & 1)
+		dst[c] = -int64(bit & 1)
 	}
 }

@@ -366,19 +366,19 @@ func TestBatchMatchesGeneratorXi(t *testing.T) {
 		}
 		x := make([]int64, len(gens))
 		want := make([]int64, len(gens))
-		bits := make([]uint8, len(gens))
+		signs := make([]int64, len(gens))
 		p := &Prep{}
 		for i := 0; i < 200; i++ {
 			v := rng.Uint64()
 			delta := int64(rng.IntN(7) - 3)
 			fam.Prepare(v, p)
 			b.AddInto(p, delta, x)
-			b.BitsInto(p, bits)
+			b.SignsInto(p, signs)
 			for c, g := range gens {
 				xi := g.Xi(p)
 				want[c] += int64(xi) * delta
-				if wantBit := uint8(0); xi == 1 && bits[c] != wantBit || xi == -1 && bits[c] != 1 {
-					t.Fatalf("kind %v value %#x cell %d: bit %d, xi %d", fam.Kind(), v, c, bits[c], xi)
+				if xi == 1 && signs[c] != 0 || xi == -1 && signs[c] != -1 {
+					t.Fatalf("kind %v value %#x cell %d: sign mask %d, xi %d", fam.Kind(), v, c, signs[c], xi)
 				}
 			}
 		}
